@@ -2,20 +2,18 @@
 
 Exit codes: 0 success, 1 invalid input (bad arguments, unparsable or
 invalid knot files), 2 internal errors (overflow, generator failure).
-KNOTDIST_THREADS sets the default for --threads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .engine import vertex_distortion, vertex_distortion_with_heatmap
 from .generators import GeneratorError, GeneratorSpec, exhaustive_small
-from .knotfile import KnotFileError, load_knot, serialize
+from .knotfile import KnotFileError, load_knot, parse_vertices, serialize
 from .lattice import InvalidKnotError, LatticeKnot, scale, validate
 from .metrics import NotOnKnotError
 from .midpoint_analysis import certify_unknot
@@ -37,20 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("KNOTDIST_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _add_common(sub: argparse.ArgumentParser, pruning: bool = True) -> None:
-    sub.add_argument("--threads", type=int, default=_default_threads(),
-                     help="parallelism cap (default: KNOTDIST_THREADS or 1)")
-    if pruning:
-        sub.add_argument("--no-prune", action="store_true",
-                         help="disable early termination (oracle mode)")
+def _add_no_prune(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--no-prune", action="store_true",
+                     help="disable early termination (oracle mode)")
 
 
 def _build_parser() -> _Parser:
@@ -64,16 +51,16 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--with-heatmap", action="store_true")
-    _add_common(p)
+    _add_no_prune(p)
 
     p = subs.add_parser("gromov1", help="curve-wide distortion report as JSON")
     p.add_argument("file")
     p.add_argument("--pretty", action="store_true")
-    _add_common(p)
+    _add_no_prune(p)
 
     p = subs.add_parser("certify", help="unknot certificate verdict")
     p.add_argument("file")
-    _add_common(p)
+    _add_no_prune(p)
 
     p = subs.add_parser("scale", help="write the scaled knot")
     p.add_argument("file")
@@ -96,11 +83,9 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("heatmap", help="per-vertex distortion maxima as CSV")
     p.add_argument("file")
     p.add_argument("--csv", required=True, help="output path, - for stdout")
-    _add_common(p, pruning=False)
 
     p = subs.add_parser("enumerate", help="small polygons up to isometry, JSON lines")
     p.add_argument("--max-edges", type=int, required=True)
-    _add_common(p, pruning=False)
     return parser
 
 
@@ -112,52 +97,13 @@ def _write(text: str, output: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        knot = _parse_for_validate(text)
-    except KnotFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if isinstance(knot, LatticeKnot):
-        print("ok")
-        return 0
-    result = validate(knot)
+    result = validate(parse_vertices(Path(args.file).read_text(encoding="utf-8")))
     if result.ok:
         print("ok")
         return 0
     for v in result.violations:
         print(f"violation [{v.code}]: {v.message}", file=sys.stderr)
     return 1
-
-
-def _parse_for_validate(text: str):
-    """Parse a file but return the raw vertex list instead of raising on
-    semantic violations, so `validate` can report them all."""
-    from .knotfile import parse_knot
-
-    try:
-        return parse_knot(text)
-    except InvalidKnotError as exc:
-        return _raw_vertices(text)
-
-
-def _raw_vertices(text: str) -> list[tuple[int, int, int]]:
-    from .knotfile import _significant_lines, _MOVE_STEPS
-
-    lines = _significant_lines(text)[1:]  # header already checked
-    if lines and lines[0][1].startswith("moves:"):
-        pos = (0, 0, 0)
-        out = [pos]
-        for c in lines[0][1][len("moves:"):].strip()[:-1]:
-            s = _MOVE_STEPS[c]
-            pos = (pos[0] + s[0], pos[1] + s[1], pos[2] + s[2])
-            out.append(pos)
-        return out
-    return [tuple(int(t) for t in line.split()) for _, line in lines]
 
 
 def _load(args) -> LatticeKnot:
@@ -168,7 +114,6 @@ def _cmd_compute(args) -> int:
     doc = build_report(
         _load(args),
         prune=not args.no_prune,
-        threads=args.threads,
         with_heatmap=args.with_heatmap,
     )
     sys.stdout.write(render_json(doc, pretty=args.pretty))
@@ -176,13 +121,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_gromov1(args) -> int:
-    doc = build_gromov1_report(_load(args), prune=not args.no_prune, threads=args.threads)
+    doc = build_gromov1_report(_load(args), prune=not args.no_prune)
     sys.stdout.write(render_json(doc, pretty=args.pretty))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    report = vertex_distortion(_load(args), prune=not args.no_prune, threads=args.threads)
+    report = vertex_distortion(_load(args), prune=not args.no_prune)
     cert = certify_unknot(report)
     delta = ratio_doc(report.delta)
     print(f"{cert.verdict} delta={delta['num']}/{delta['den']} ({delta['decimal']})")
@@ -207,7 +152,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    _, rows = vertex_distortion_with_heatmap(_load(args), threads=args.threads)
+    _, rows = vertex_distortion_with_heatmap(_load(args))
     _write(heatmap_csv(rows), args.csv)
     return 0
 
@@ -216,7 +161,7 @@ def _cmd_enumerate(args) -> int:
     from .knotfile import move_string
 
     for knot in exhaustive_small(args.max_edges):
-        rep = vertex_distortion(knot, threads=args.threads)
+        rep = vertex_distortion(knot)
         doc = {
             "n_edges": knot.n,
             "moves": move_string(knot),

@@ -14,20 +14,15 @@ keeps the witness set identical to the unpruned run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeKnot, LatticePoint, scale
+from .lattice import LatticeKnot, LatticePoint, scale, transform
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
-
-# Guard for the int64 fast path: keeps taxicab sums, squared Euclidean
-# sums and the cross-multiplied heatmap comparisons inside 63 bits.
-_NUMPY_COORD_CAP = 2**29
 
 
 @dataclass(frozen=True)
@@ -36,8 +31,8 @@ class DistortionReport:
 
     delta is the maximum ratio, witnesses the deduplicated unordered
     point pairs achieving it (each pair tuple in coordinate order),
-    pairs_examined the number of index pairs evaluated, and pruned
-    whether early termination skipped any band.
+    pairs_examined the number of distinct index pairs evaluated, and
+    pruned whether early termination skipped any band.
     """
 
     delta: Fraction
@@ -57,86 +52,66 @@ def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
 
 
 class _Sweep:
-    """One banded scan over the vertex pairs of a knot."""
+    """One banded scan over the vertex pairs of a knot.
 
-    def __init__(self, knot: LatticeKnot, threads: int = 1, want_heatmap: bool = False):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+    The coordinates are shifted by their minimum, so on a closed
+    unit-step polygon every value lies in [0, n] (doubled units) and
+    taxicab sums, squared Euclidean sums and the cross-multiplied
+    heatmap comparisons stay below 3 n^2, far inside int64.  Each of the
+    three coordinate rows is stored twice, so the band partner
+    i - d (mod n) of index i is the plain slice [n - d, 2n - d).
+    """
+
+    def __init__(self, knot: LatticeKnot, want_heatmap: bool = False):
         self.knot = knot
-        self.n = knot.n
+        n = self.n = knot.n
+        v = np.array(knot.vertices, dtype=np.int64).reshape(n, 3)
+        lo = v.min(axis=0)
+        # Python ints: an unvalidated knot may span more than int64
+        if max(int(h) - int(l) for h, l in zip(v.max(axis=0), lo)) > n:
+            raise ValueError(
+                "knot coordinates span more than its length; not a closed unit-step polygon"
+            )
+        rows = (v - lo).T
+        self.coords = np.concatenate([rows, rows], axis=1)
+        self.diff = np.empty((3, n), dtype=np.int64)
+        # doubled like the coordinates, so the heatmap can read dist[i + d]
+        self.dist2 = np.empty(2 * n, dtype=np.int64)
         self.want_heatmap = want_heatmap
-        peak = max(max(abs(c) for c in v) for v in knot.vertices)
-        self.use_numpy = peak <= _NUMPY_COORD_CAP and self.n * (6 * peak + 4) < 2**62
-        self.threads = min(threads, self.n) if self.use_numpy else 1
-        self.pool: Optional[ThreadPoolExecutor] = None
-        if self.use_numpy:
-            self.coords = np.array(knot.vertices, dtype=np.int64)
-            if want_heatmap:
-                self.row_num = np.zeros(self.n, dtype=np.int64)
-                self.row_den = np.ones(self.n, dtype=np.int64)
-        else:
-            self.coords_py = [tuple(v) for v in knot.vertices]
-            if want_heatmap:
-                self.rows_py = [Fraction(0)] * self.n
+        if want_heatmap:
+            self.row_num = np.zeros(n, dtype=np.int64)
+            self.row_den = np.ones(n, dtype=np.int64)
+            self.cand = np.empty(n, dtype=np.int64)
+            self.lhs = np.empty(n, dtype=np.int64)
+            self.rhs = np.empty(n, dtype=np.int64)
+            self.better = np.empty(n, dtype=bool)
 
-    # -- band evaluation --------------------------------------------------
+    def _band(self, d: int, square: bool = False) -> np.ndarray:
+        """Per-index taxicab (or squared Euclidean) distance to index i - d.
 
-    def _band_numpy(self, d: int, square: bool) -> np.ndarray:
-        """Per-index taxicab (or squared Euclidean) distance to index i - d."""
-        v = self.coords
-        if self.pool is None:
-            diff = v - np.roll(v, d, axis=0)
-        else:
-            # partition the i-range; merge order is fixed by chunk index,
-            # so the result is independent of scheduling
-            bounds = [self.n * k // self.threads for k in range(self.threads + 1)]
-            idx = np.arange(self.n)
-
-            def piece(k: int) -> np.ndarray:
-                lo, hi = bounds[k], bounds[k + 1]
-                return v[lo:hi] - v[(idx[lo:hi] - d) % self.n]
-
-            diff = np.concatenate(list(self.pool.map(piece, range(self.threads))))
-        if square:
-            return (diff * diff).sum(axis=1)
-        return np.abs(diff).sum(axis=1)
-
-    def _band_py(self, d: int, square: bool) -> list[int]:
-        vs = self.coords_py
+        The result lives in a buffer that the next band overwrites.
+        """
         n = self.n
-        out = []
-        for i in range(n):
-            a = vs[i]
-            b = vs[(i - d) % n]
-            if square:
-                out.append(
-                    (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-                )
-            else:
-                out.append(abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2]))
-        return out
-
-    def _band(self, d: int, square: bool = False):
-        return (
-            self._band_numpy(d, square) if self.use_numpy else self._band_py(d, square)
-        )
-
-    def _update_heatmap(self, d: int, dist) -> None:
-        # pair (i, i-d) feeds row i directly and row i-d through the
-        # shifted view, so every row sees both of its band-d partners
-        if self.use_numpy:
-            for cand in (dist, np.roll(dist, -d)):
-                better = 2 * d * self.row_den > self.row_num * cand
-                self.row_num[better] = 2 * d
-                self.row_den[better] = cand[better]
+        diff = self.diff
+        np.subtract(self.coords[:, :n], self.coords[:, n - d : 2 * n - d], out=diff)
+        if square:
+            np.multiply(diff, diff, out=diff)
         else:
-            for i in range(self.n):
-                r = Fraction(2 * d, dist[i])
-                if r > self.rows_py[i]:
-                    self.rows_py[i] = r
-                j = (i - d) % self.n
-                if r > self.rows_py[j]:
-                    self.rows_py[j] = r
+            np.abs(diff, out=diff)
+        return diff.sum(axis=0, out=self.dist2[:n])
+
+    def _update_heatmap(self, d: int, dist: np.ndarray) -> None:
+        # row j meets band d as index j (partner j - d, distance dist[j])
+        # and as partner of j + d (distance dist[j + d]); the nearer one
+        # gives the row's larger band-d ratio
+        n = self.n
+        self.dist2[n:] = dist
+        np.minimum(dist, self.dist2[d : d + n], out=self.cand)
+        np.multiply(self.row_den, 2 * d, out=self.lhs)
+        np.multiply(self.row_num, self.cand, out=self.rhs)
+        np.greater(self.lhs, self.rhs, out=self.better)
+        np.copyto(self.row_num, 2 * d, where=self.better)
+        np.copyto(self.row_den, self.cand, where=self.better)
 
     # -- drivers ------------------------------------------------------------
 
@@ -144,111 +119,92 @@ class _Sweep:
         n = self.n
         delta = Fraction(1)
         index_pairs: set[tuple[int, int]] = set()
-        bands = 0
+        bands = pairs = 0
         for d in range(n // 2, 0, -1):
             if prune and delta > d:
                 break
             bands += 1
+            # the antipodal band meets each of its pairs from both ends
+            pairs += n // 2 if 2 * d == n else n
             dist = self._band(d)
             if self.want_heatmap:
                 self._update_heatmap(d, dist)
-            dmin = int(dist.min()) if self.use_numpy else min(dist)
+            dmin = int(dist.min())
             best = Fraction(2 * d, dmin)
             if best < delta:
                 continue
             if best > delta:
                 delta = best
                 index_pairs.clear()
-            if self.use_numpy:
-                hits = np.nonzero(dist == dmin)[0]
-            else:
-                hits = [i for i in range(n) if dist[i] == dmin]
-            for i in hits:
-                i = int(i)
+            for i in np.nonzero(dist == dmin)[0].tolist():
                 j = (i - d) % n
                 index_pairs.add((min(i, j), max(i, j)))
         witnesses = frozenset(
             _ordered_pair(self.knot.vertices[i], self.knot.vertices[j])
             for i, j in index_pairs
         )
-        return delta, witnesses, bands * n, bands < n // 2
+        return delta, witnesses, pairs, bands < n // 2
 
     def run_euclidean(self) -> Fraction:
         best = Fraction(0)
         for d in range(self.n // 2, 0, -1):
-            dist = self._band(d, square=True)
-            emin = int(dist.min()) if self.use_numpy else min(dist)
-            cand = Fraction(4 * d * d, emin)
+            cand = Fraction(4 * d * d, int(self._band(d, square=True).min()))
             if cand > best:
                 best = cand
         return best
 
     def heatmap_rows(self) -> tuple[HeatmapRow, ...]:
-        if self.use_numpy:
-            values = [
-                Fraction(int(a), int(b)) for a, b in zip(self.row_num, self.row_den)
-            ]
-        else:
-            values = self.rows_py
         return tuple(
-            HeatmapRow(i, v, values[i]) for i, v in enumerate(self.knot.vertices)
+            HeatmapRow(i, v, Fraction(num, den))
+            for i, (v, num, den) in enumerate(
+                zip(self.knot.vertices, self.row_num.tolist(), self.row_den.tolist())
+            )
         )
 
 
-def _with_pool(sweep: _Sweep, job: Callable):
-    if sweep.threads > 1:
-        with ThreadPoolExecutor(max_workers=sweep.threads) as pool:
-            sweep.pool = pool
-            try:
-                return job()
-            finally:
-                sweep.pool = None
-    return job()
-
-
-def vertex_distortion(
-    knot: LatticeKnot, *, prune: bool = True, threads: int = 1
-) -> DistortionReport:
+def vertex_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
     """Maximum of arc/taxicab over all vertex pairs, with all witnesses.
 
     With prune=True the outer band loop stops once no remaining band can
     match the running maximum; the result (value and witness set) is
     identical to the unpruned run.
     """
-    sweep = _Sweep(knot, threads=threads)
-    delta, wit, pairs, cut = _with_pool(sweep, lambda: sweep.run(prune))
+    delta, wit, pairs, cut = _Sweep(knot).run(prune)
     return DistortionReport(delta, wit, pairs, prune and cut)
 
 
 def vertex_distortion_with_heatmap(
-    knot: LatticeKnot, *, threads: int = 1
+    knot: LatticeKnot,
 ) -> tuple[DistortionReport, tuple[HeatmapRow, ...]]:
     """Unpruned sweep that also collects the per-vertex row maxima."""
-    sweep = _Sweep(knot, threads=threads, want_heatmap=True)
-    delta, wit, pairs, _ = _with_pool(sweep, lambda: sweep.run(prune=False))
+    sweep = _Sweep(knot, want_heatmap=True)
+    delta, wit, pairs, _ = sweep.run(prune=False)
     return DistortionReport(delta, wit, pairs, False), sweep.heatmap_rows()
 
 
-def heatmap(knot: LatticeKnot, *, threads: int = 1) -> tuple[HeatmapRow, ...]:
+def heatmap(knot: LatticeKnot) -> tuple[HeatmapRow, ...]:
     """For each vertex, the maximum ratio against every other vertex."""
-    return vertex_distortion_with_heatmap(knot, threads=threads)[1]
+    return vertex_distortion_with_heatmap(knot)[1]
 
 
-def _halve(p: LatticePoint) -> LatticePoint:
-    return LatticePoint(p.x // 2, p.y // 2, p.z // 2)
-
-
-def gromov1_distortion(
-    knot: LatticeKnot, *, prune: bool = True, threads: int = 1
-) -> DistortionReport:
+def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
     """Distortion maximum over the whole curve in the taxicab metric.
 
     Computed as the vertex distortion of the doubled knot, whose vertices
     are exactly the vertices and midpoints of the original; witnesses are
-    mapped back to those points.
+    mapped back to those points.  The knot is first moved so that vertex
+    0 sits at the origin: every vertex lies within n doubled units of
+    it, so doubling fits in 64 bits for any valid knot, however far out
+    it is placed.
     """
-    rep = vertex_distortion(scale(knot, 2), prune=prune, threads=threads)
-    witnesses = frozenset(_ordered_pair(_halve(a), _halve(b)) for a, b in rep.witnesses)
+    base = knot.vertices[0]
+    at_origin = transform(knot, translate=tuple(-c // 2 for c in base))
+    rep = vertex_distortion(scale(at_origin, 2), prune=prune)
+
+    def back(p: LatticePoint) -> LatticePoint:
+        return LatticePoint(*(c // 2 + o for c, o in zip(p, base)))
+
+    witnesses = frozenset(_ordered_pair(back(a), back(b)) for a, b in rep.witnesses)
     return DistortionReport(rep.delta, witnesses, rep.pairs_examined, rep.pruned)
 
 
@@ -295,12 +251,11 @@ def brute_force_vm_distortion(
     )
 
 
-def euclidean_vertex_lower_bound(knot: LatticeKnot, *, threads: int = 1) -> Fraction:
+def euclidean_vertex_lower_bound(knot: LatticeKnot) -> Fraction:
     """Maximum squared arc/Euclidean ratio over distinct vertex pairs.
 
     A lower bound for the squared Gromov distortion of the curve; always
     at least the squared vertex distortion since Euclidean distance never
     exceeds taxicab distance.
     """
-    sweep = _Sweep(knot, threads=threads)
-    return _with_pool(sweep, sweep.run_euclidean)
+    return _Sweep(knot).run_euclidean()

@@ -4,8 +4,8 @@ Two bodies are accepted under the common header line: one vertex per
 line as three signed integers in true coordinates (the first vertex is
 not repeated at the end), or a single move line over the alphabet
 X x Y y Z z (uppercase steps +1, lowercase -1) starting at the origin.
-`#` starts a comment anywhere.  Parsing always validates; error
-messages cite line numbers.
+`#` starts a comment anywhere.  parse_vertices reads the vertex list
+only; parse_knot also validates it.  Error messages cite line numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
-from .lattice import LatticeKnot
+from .lattice import LatticeKnot, TrueVertex
 
 HEADER = "latticeknot v1"
 
@@ -48,12 +48,12 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_knot(text: str) -> LatticeKnot:
-    """Parse either file form and return a validated knot.
+def parse_vertices(text: str) -> list[TrueVertex]:
+    """Parse either file form into its true vertex list, unvalidated.
 
     Raises KnotFileError on syntax problems or a move string that does
-    not close, InvalidKnotError when the described polygon violates the
-    knot invariants.
+    not close; whether the vertices form a lattice knot is left to
+    :func:`validate`.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -67,7 +67,7 @@ def parse_knot(text: str) -> LatticeKnot:
     if body[0][1].startswith("moves:"):
         if len(body) > 1:
             raise KnotFileError("content after the move line", body[1][0])
-        return knot_from_moves(body[0][1][len("moves:"):].strip(), line=body[0][0])
+        return _move_vertices(body[0][1][len("moves:"):].strip(), line=body[0][0])
     vertices = []
     for no, line in body:
         m = _VERTEX_RE.match(line)
@@ -76,11 +76,20 @@ def parse_knot(text: str) -> LatticeKnot:
                 f"expected three signed integers separated by spaces, found {line!r}", no
             )
         vertices.append(tuple(int(g) for g in m.groups()))
-    return LatticeKnot.from_true(vertices)
+    return vertices
 
 
-def knot_from_moves(moves: str, line: Optional[int] = None) -> LatticeKnot:
-    """Build a knot from a move string anchored at the origin."""
+def parse_knot(text: str) -> LatticeKnot:
+    """Parse either file form and return a validated knot.
+
+    Raises KnotFileError on syntax problems or a move string that does
+    not close, InvalidKnotError when the described polygon violates the
+    knot invariants.
+    """
+    return LatticeKnot.from_true(parse_vertices(text))
+
+
+def _move_vertices(moves: str, line: Optional[int] = None) -> list[TrueVertex]:
     if not moves:
         raise KnotFileError("empty move string", line)
     bad = [c for c in moves if c not in _MOVE_STEPS]
@@ -100,7 +109,12 @@ def knot_from_moves(moves: str, line: Optional[int] = None) -> LatticeKnot:
         raise KnotFileError(
             f"move string does not close: ends at {final}, not the origin", line
         )
-    return LatticeKnot.from_true(vertices)
+    return vertices
+
+
+def knot_from_moves(moves: str, line: Optional[int] = None) -> LatticeKnot:
+    """Build a knot from a move string anchored at the origin."""
+    return LatticeKnot.from_true(_move_vertices(moves, line))
 
 
 def move_string(knot: LatticeKnot) -> str:

@@ -109,11 +109,14 @@ def classify_pair(knot: LatticeKnot, p: LatticePoint, q: LatticePoint) -> Midpoi
         opposed = dir_p == tuple(-c for c in dir_q)
     if not generic:
         # structural consequences of non-genericity, checked exactly
-        assert parallel, "non-generic midpoints must lie on parallel edges"
-        assert p[ep.axis] == q[ep.axis], "non-generic midpoints must share the fractional coordinate"
-        assert all(d == d_pq + 1 for d in to_q_ends + to_p_ends), (
-            "all neighbor distances of a non-generic pair must equal the pair distance plus 1/2"
-        )
+        if not parallel:
+            raise AssertionError("non-generic midpoints must lie on parallel edges")
+        if p[ep.axis] != q[ep.axis]:
+            raise AssertionError("non-generic midpoints must share the fractional coordinate")
+        if any(d != d_pq + 1 for d in to_q_ends + to_p_ends):
+            raise AssertionError(
+                "all neighbor distances of a non-generic pair must equal the pair distance plus 1/2"
+            )
         shared = ep.axis
     return MidpointPairClass(p, q, generic, antipodal, parallel, shared, opposed)
 

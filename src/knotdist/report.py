@@ -81,7 +81,6 @@ def build_report(
     knot: LatticeKnot,
     *,
     prune: bool = True,
-    threads: int = 1,
     with_heatmap: bool = False,
 ) -> dict:
     """Full report: distortion, witnesses, curve-wide maximum, certificate.
@@ -90,11 +89,11 @@ def build_report(
     heatmap shares its sweep with the distortion computation.
     """
     if with_heatmap:
-        rep, rows = vertex_distortion_with_heatmap(knot, threads=threads)
+        rep, rows = vertex_distortion_with_heatmap(knot)
     else:
-        rep = vertex_distortion(knot, prune=prune, threads=threads)
+        rep = vertex_distortion(knot, prune=prune)
         rows = None
-    g1 = gromov1_distortion(knot, prune=prune, threads=threads)
+    g1 = gromov1_distortion(knot, prune=prune)
     doc = {
         "schema": SCHEMA,
         "n_edges": knot.n,
@@ -108,11 +107,9 @@ def build_report(
     return doc
 
 
-def build_gromov1_report(
-    knot: LatticeKnot, *, prune: bool = True, threads: int = 1
-) -> dict:
+def build_gromov1_report(knot: LatticeKnot, *, prune: bool = True) -> dict:
     """Curve-wide distortion with witnesses among vertices and midpoints."""
-    g1 = gromov1_distortion(knot, prune=prune, threads=threads)
+    g1 = gromov1_distortion(knot, prune=prune)
     return {
         "schema": SCHEMA,
         "n_edges": knot.n,

@@ -1,12 +1,13 @@
-"""CLI surface: subcommands, exit codes, determinism, env overrides."""
+"""CLI surface: subcommands, exit codes, determinism."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from knotdist import rectangle, serialize_vertices, torus_knot
+from knotdist import rectangle, serialize_vertices, torus_knot, transform
 from knotdist.cli import main
+from knotdist.report import build_report
 
 
 @pytest.fixture()
@@ -66,18 +67,6 @@ class TestCompute:
             _, fast, _ = run(capsys, ["compute", str(path)])
             _, slow, _ = run(capsys, ["compute", "--no-prune", str(path)])
             assert fast == slow
-
-    def test_threads_byte_identical(self, capsys, rect14_file):
-        _, one, _ = run(capsys, ["compute", "--threads", "1", str(rect14_file)])
-        _, four, _ = run(capsys, ["compute", "--threads", "4", str(rect14_file)])
-        assert one == four
-
-    def test_env_threads_default(self, capsys, rect14_file, monkeypatch):
-        monkeypatch.setenv("KNOTDIST_THREADS", "3")
-        _, out, _ = run(capsys, ["compute", str(rect14_file)])
-        monkeypatch.delenv("KNOTDIST_THREADS")
-        _, base, _ = run(capsys, ["compute", str(rect14_file)])
-        assert out == base
 
     def test_pretty_is_equivalent(self, capsys, square_file):
         _, compact, _ = run(capsys, ["compute", str(square_file)])
@@ -199,15 +188,25 @@ class TestErrors:
         assert code == 1
         assert "line" in err
 
+    def test_threads_option_rejected(self, capsys, square_file):
+        code, out, err = run(capsys, ["compute", "--threads", "2", str(square_file)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_overflow_exit_two(self, capsys, tmp_path):
-        # validates as-is but cannot be doubled within 64-bit coordinates
-        big = 3 * 2**60
-        lines = ["latticeknot v1"] + [
-            f"{big + x} {y} 0" for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]
-        ]
-        path = tmp_path / "huge.knot"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run(capsys, ["validate", str(path)])[0] == 0
-        code, _, err = run(capsys, ["compute", str(path)])
-        assert code == 2
-        assert "64-bit" in err
+        # these validate and compute like their translates at the origin,
+        # but cannot be scaled by 2 within 64-bit coordinates
+        for knot, far in ((rectangle(1, 1), 3 * 2**60), (rectangle(3, 5), 2**61)):
+            path = tmp_path / "huge.knot"
+            path.write_text(
+                serialize_vertices(transform(knot, translate=(far, 0, 0))), encoding="utf-8"
+            )
+            assert run(capsys, ["validate", str(path)])[0] == 0
+            code, out, _ = run(capsys, ["compute", str(path)])
+            assert code == 0
+            assert json.loads(out)["gromov1"] == build_report(knot)["gromov1"]
+            assert run(capsys, ["certify", str(path)])[0] == 0
+            code, _, err = run(capsys, ["scale", str(path), "--factor", "2"])
+            assert code == 2
+            assert "64-bit" in err

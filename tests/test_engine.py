@@ -3,7 +3,10 @@ exactness, doubling behavior, heatmap consistency."""
 
 from fractions import Fraction
 
+import pytest
+
 from knotdist import (
+    LatticeKnot,
     LatticePoint,
     brute_force_vm_distortion,
     euclidean_vertex_lower_bound,
@@ -24,7 +27,10 @@ from conftest import (
 
 class TestVertexDistortion:
     def test_unit_square(self, unit_square):
-        assert vertex_distortion(unit_square).delta == 1
+        rep = vertex_distortion(unit_square)
+        assert rep.delta == 1
+        # 4 adjacent pairs plus the 2 diagonals of the antipodal band
+        assert rep.pairs_examined == 6
 
     def test_two_by_two_square(self):
         rep = vertex_distortion(rectangle(2, 2))
@@ -65,12 +71,6 @@ class TestVertexDistortion:
             assert fast.witnesses == slow.witnesses
             assert fast.pairs_examined <= slow.pairs_examined
 
-    def test_threads_do_not_change_output(self, trefoil):
-        base = vertex_distortion(trefoil, threads=1)
-        for threads in (2, 3, 8):
-            rep = vertex_distortion(trefoil, threads=threads)
-            assert rep == base
-
     def test_isometry_invariance(self, small_corpus):
         from knotdist import lattice_isometries
 
@@ -87,19 +87,35 @@ class TestVertexDistortion:
                 assert knot.n < 24
 
     def test_python_fallback_matches_numpy(self, small_corpus):
-        # huge coordinates push the sweep off the int64 fast path
+        # huge coordinates: every result must equal the one at the origin
         far = 2**40
+
+        def back(p):
+            return LatticePoint(*(c - 2 * far for c in p))
+
+        def back_pairs(witnesses):
+            return frozenset(tuple(back(p) for p in pair) for pair in witnesses)
+
         for knot in small_corpus[:4]:
             moved = transform(knot, translate=(far, far, far))
             got = vertex_distortion(moved)
             want = vertex_distortion(knot)
             assert got.delta == want.delta
-            back = frozenset(
-                tuple(LatticePoint(*(c - 2 * far for c in p)) for p in pair)
-                for pair in got.witnesses
-            )
-            assert back == want.witnesses
+            assert back_pairs(got.witnesses) == want.witnesses
             assert euclidean_vertex_lower_bound(moved) == euclidean_vertex_lower_bound(knot)
+            rows = [(r.index, back(r.vertex), r.value) for r in heatmap(moved)]
+            assert rows == [tuple(r) for r in heatmap(knot)]
+            g_got, g_want = gromov1_distortion(moved), gromov1_distortion(knot)
+            assert g_got.delta == g_want.delta
+            assert back_pairs(g_got.witnesses) == g_want.witnesses
+
+    def test_unvalidated_spread_rejected(self):
+        # the int64 kernel relies on coordinates spanning at most n
+        for far in (6, -2**62):
+            pts = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, far, 0)]
+            knot = LatticeKnot(tuple(LatticePoint(*p) for p in pts))
+            with pytest.raises(ValueError, match="span"):
+                vertex_distortion(knot)
 
 
 class TestBruteForceOracle:
