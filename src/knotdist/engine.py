@@ -10,6 +10,11 @@ no remaining band can reach the running maximum: distinct vertices are
 at taxicab distance >= 1, so a band at arc distance d contributes at
 most d.  The cut fires only for d strictly below the maximum, which
 keeps the witness set identical to the unpruned run.
+
+The curve-wide maximum over vertices and midpoints extends a finished
+vertex sweep: by the midpoint pair structure only antipodal midpoint
+pairs can beat the vertex maximum, so it needs one pass over those n/2
+pairs and a check of the neighbours of each vertex witness.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeKnot, LatticePoint, scale, transform
+from .lattice import LatticeKnot, LatticePoint
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
 
@@ -32,7 +37,9 @@ class DistortionReport:
     delta is the maximum ratio, witnesses the deduplicated unordered
     point pairs achieving it (each pair tuple in coordinate order),
     pairs_examined the number of distinct index pairs evaluated, and
-    pruned whether early termination skipped any band.
+    pruned whether early termination skipped any band.  For the
+    curve-wide maximum, pairs_examined is the vertex pairs examined plus
+    the n/2 antipodal midpoint pairs, and pruned is the vertex sweep's.
     """
 
     delta: Fraction
@@ -148,6 +155,9 @@ class _Sweep:
     def run_euclidean(self) -> Fraction:
         best = Fraction(0)
         for d in range(self.n // 2, 0, -1):
+            # doubled squared distances are >= 4, so band d gives at most d^2
+            if best >= d * d:
+                break
             cand = Fraction(4 * d * d, int(self._band(d, square=True).min()))
             if cand > best:
                 best = cand
@@ -190,22 +200,70 @@ def heatmap(knot: LatticeKnot) -> tuple[HeatmapRow, ...]:
 def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
     """Distortion maximum over the whole curve in the taxicab metric.
 
-    Computed as the vertex distortion of the doubled knot, whose vertices
-    are exactly the vertices and midpoints of the original; witnesses are
-    mapped back to those points.  The knot is first moved so that vertex
-    0 sits at the origin: every vertex lies within n doubled units of
-    it, so doubling fits in 64 bits for any valid knot, however far out
-    it is placed.
+    This is the vertex distortion of the doubled knot, whose vertices are
+    exactly the vertices and midpoints of the original, and it is computed
+    from the vertex sweep alone, with witnesses among those points.  Write
+    A and D for the doubled arc and taxicab distances of two points and M
+    for the maximum.  M > 1: for a vertex p and its antipode p', either
+    D(p, p') < A = n, or both halves of the knot between them are
+    taxicab-monotone and the midpoints of the first edge of one half and
+    of the last edge of the other, again antipodal, are nearer than n.
+
+    Domination: replacing a midpoint by an endpoint of its edge moves A by
+    +1 and -1 (both -1 when A = n) and D by -1 and +1, or by +1 and +1 when
+    the other point shares its half-integer coordinate.  So at a ratio
+    A/D > 1 a vertex-midpoint pair, or a midpoint pair not sharing that
+    coordinate, is beaten by such a replacement.  Two midpoints m_a, m_b
+    that share it lie on parallel edges.  Moving both to their start
+    vertices, or both to their end vertices, keeps A and D when the edges
+    run the same way.  When they run opposite ways and A < n (so A <= n - 2,
+    both offsets being odd), moving both one way in space gains 2 in arc at
+    equal D.  Only antipodal midpoints on opposed edges escape: the
+    exceptional pairs of midpoint_analysis.  Hence M is the larger of the
+    vertex distortion and the best of the n/2 antipodal midpoint pairs.
+    Ties: every witness at M is an antipodal midpoint pair, a vertex
+    witness (v_i, v_j), or a midpoint pair tying with one, which lies in
+    {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}; all those pairs are checked.
+
+    pairs_examined counts the vertex pairs the sweep examined plus the n/2
+    antipodal midpoint pairs; pruned is the vertex sweep's.
     """
-    base = knot.vertices[0]
-    at_origin = transform(knot, translate=tuple(-c // 2 for c in base))
-    rep = vertex_distortion(scale(at_origin, 2), prune=prune)
+    return _gromov1_from_vertex_report(knot, vertex_distortion(knot, prune=prune))
 
-    def back(p: LatticePoint) -> LatticePoint:
-        return LatticePoint(*(c // 2 + o for c, o in zip(p, base)))
 
-    witnesses = frozenset(_ordered_pair(back(a), back(b)) for a, b in rep.witnesses)
-    return DistortionReport(rep.delta, witnesses, rep.pairs_examined, rep.pruned)
+def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> DistortionReport:
+    """gromov1_distortion, given the complete vertex sweep of the knot."""
+    verts = knot.vertices
+    n, half = knot.n, knot.n // 2
+    v = np.array(verts, dtype=np.int64).reshape(n, 3)
+    v -= v.min(axis=0)
+    mid = (v + np.roll(v, -1, axis=0)) // 2
+    tax = np.abs(mid[:half] - mid[half:]).sum(axis=1)
+    tmin = int(tax.min())
+    antipodal = Fraction(n, tmin)
+    delta = max(rep.delta, antipodal)
+
+    def point(off: int) -> LatticePoint:
+        i, odd = divmod(off % (2 * n), 2)
+        if not odd:
+            return verts[i]
+        return LatticePoint(*((a + b) // 2 for a, b in zip(verts[i], verts[(i + 1) % n])))
+
+    witnesses: set[WitnessPair] = set()
+    if antipodal == delta:
+        for i in np.nonzero(tax == tmin)[0].tolist():
+            witnesses.add(_ordered_pair(point(2 * i + 1), point(2 * i + 1 + n)))
+    if rep.delta == delta:
+        offset = {p: 2 * i for i, p in enumerate(verts)}
+        for a, b in rep.witnesses:
+            oa, ob = offset[a], offset[b]
+            for p_off in (oa - 1, oa, oa + 1):
+                for q_off in (ob - 1, ob, ob + 1):
+                    arc = (p_off - q_off) % (2 * n)
+                    p, q = point(p_off), point(q_off)
+                    if arc and Fraction(min(arc, 2 * n - arc), _taxicab_doubled(p, q)) == delta:
+                        witnesses.add(_ordered_pair(p, q))
+    return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
 
 
 def _taxicab_doubled(a: LatticePoint, b: LatticePoint) -> int:

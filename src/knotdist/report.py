@@ -15,6 +15,7 @@ from typing import Sequence
 from .engine import (
     DistortionReport,
     HeatmapRow,
+    _gromov1_from_vertex_report,
     gromov1_distortion,
     vertex_distortion,
     vertex_distortion_with_heatmap,
@@ -85,15 +86,15 @@ def build_report(
 ) -> dict:
     """Full report: distortion, witnesses, curve-wide maximum, certificate.
 
-    The same flags always produce byte-identical JSON; requesting the
-    heatmap shares its sweep with the distortion computation.
+    The same flags always produce byte-identical JSON.  One vertex sweep
+    serves the distortion, the curve-wide maximum and the heatmap.
     """
     if with_heatmap:
         rep, rows = vertex_distortion_with_heatmap(knot)
     else:
         rep = vertex_distortion(knot, prune=prune)
         rows = None
-    g1 = gromov1_distortion(knot, prune=prune)
+    g1 = _gromov1_from_vertex_report(knot, rep)
     doc = {
         "schema": SCHEMA,
         "n_edges": knot.n,

@@ -1,23 +1,30 @@
 """Engine results against the independent reference oracle, pruning
 exactness, doubling behavior, heatmap consistency."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import knotdist.engine
+import knotdist.lattice
 from knotdist import (
     LatticeKnot,
     LatticePoint,
     brute_force_vm_distortion,
     euclidean_vertex_lower_bound,
+    exhaustive_small,
     gromov1_distortion,
     heatmap,
+    random_polygon,
     rectangle,
     scale,
+    torus_knot,
     transform,
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
+from knotdist.report import build_report, render_json
 from conftest import (
     reference_euclidean_bound,
     reference_vertex_distortion,
@@ -139,6 +146,25 @@ class TestBruteForceOracle:
             )
 
 
+def doubled_vm_distortion(knot, prune=True):
+    """Oracle: vertex distortion of the doubled knot, witnesses mapped back.
+
+    The doubled knot's vertices are exactly the original's vertices and
+    edge midpoints.  The knot is first moved so vertex 0 is at the origin,
+    so doubling stays within 64 bits however far out the knot sits.
+    """
+    base = knot.vertices[0]
+    at_origin = transform(knot, translate=tuple(-c // 2 for c in base))
+    rep = vertex_distortion(scale(at_origin, 2), prune=prune)
+
+    def back(p):
+        return LatticePoint(*(c // 2 + o for c, o in zip(p, base)))
+
+    return rep.delta, frozenset(
+        tuple(sorted((back(a), back(b)))) for a, b in rep.witnesses
+    )
+
+
 class TestGromov1:
     def test_unit_square_value_and_witnesses(self, unit_square):
         rep = gromov1_distortion(unit_square)
@@ -155,11 +181,48 @@ class TestGromov1:
             assert gromov1_distortion(knot).delta >= vertex_distortion(knot).delta
 
     def test_equals_brute_force_with_witnesses(self, small_corpus):
-        for knot in small_corpus:
-            g1 = gromov1_distortion(knot)
+        knots = small_corpus + list(exhaustive_small(10))
+        knots += [rectangle(a, b) for a in range(1, 5) for b in range(1, 7)]
+        knots += [random_polygon(length, seed) for length in range(4, 81, 4) for seed in range(3)]
+        knots += [torus_knot(2, 3, 2), torus_knot(2, 3, 3)]
+        for knot in knots:
             bf = brute_force_vm_distortion(knot)
-            assert g1.delta == bf.delta
-            assert g1.witnesses == bf.witnesses
+            for prune in (True, False):
+                g1 = gromov1_distortion(knot, prune=prune)
+                assert g1.delta == bf.delta, (knot, prune)
+                assert g1.witnesses == bf.witnesses, (knot, prune)
+
+    def test_equals_doubled_knot_on_large_knots(self):
+        knots = [torus_knot(2, 3, 8), rectangle(40, 40)]
+        knots += [random_polygon(600, seed) for seed in range(3)]
+        knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
+        for knot in knots:
+            for prune in (True, False):
+                g1 = gromov1_distortion(knot, prune=prune)
+                assert (g1.delta, g1.witnesses) == doubled_vm_distortion(knot, prune), knot
+
+    def test_never_scales(self, monkeypatch, trefoil):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gromov1_distortion must not build the doubled knot")
+
+        for module in (knotdist.lattice, knotdist.engine):
+            monkeypatch.setattr(module, "scale", refuse, raising=False)
+        assert gromov1_distortion(trefoil).delta == doubled_vm_distortion(trefoil)[0]
+
+    def test_pairs_examined_definition(self, unit_square):
+        # 6 vertex pairs plus the 2 antipodal midpoint pairs, which alone
+        # reach the maximum 2
+        for prune in (True, False):
+            rep = gromov1_distortion(unit_square, prune=prune)
+            assert rep.pairs_examined == 8
+            assert rep.pruned is False
+        assert vertex_distortion(unit_square).delta == 1
+        # the pruned sweep of the 1x4 rectangle stops early
+        rect = rectangle(1, 4)
+        vert = vertex_distortion(rect)
+        rep = gromov1_distortion(rect)
+        assert rep.pruned and vert.pruned
+        assert rep.pairs_examined == vert.pairs_examined + rect.n // 2
 
     def test_scale_stability(self, small_corpus, trefoil):
         for knot in small_corpus + [trefoil]:
@@ -171,6 +234,43 @@ class TestGromov1:
     def test_one_step_drop(self, small_corpus, trefoil):
         for knot in small_corpus + [trefoil]:
             assert vertex_distortion(knot).delta >= gromov1_distortion(knot).delta - 1
+
+
+# sha256 of render_json(build_report(knot, **flags)) as produced by the
+# earlier implementation, which swept the doubled knot for gromov1
+REPORT_SHA256 = {
+    ("unit_square", "default"): "2e373a6f685a44a4",
+    ("unit_square", "no_prune"): "2e373a6f685a44a4",
+    ("unit_square", "heatmap"): "a66776159f2357ed",
+    ("square", "default"): "2d24b3e851933ab3",
+    ("square", "no_prune"): "2d24b3e851933ab3",
+    ("square", "heatmap"): "f6adc29f40d3820b",
+    ("trefoil", "default"): "f7d633db5a03d95c",
+    ("trefoil", "no_prune"): "f7d633db5a03d95c",
+    ("trefoil", "heatmap"): "c90c7b2cb5b17883",
+}
+
+
+class TestBuildReport:
+    def test_one_sweep_and_unchanged_json(self, monkeypatch, unit_square, trefoil):
+        sweeps = []
+        real = knotdist.engine._Sweep
+
+        def counting(*args, **kwargs):
+            sweeps.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(knotdist.engine, "_Sweep", counting)
+        knots = {"unit_square": unit_square, "square": rectangle(2, 2), "trefoil": trefoil}
+        flags = {"default": {}, "no_prune": {"prune": False}, "heatmap": {"with_heatmap": True}}
+        for name, knot in knots.items():
+            for flag, kwargs in flags.items():
+                sweeps.clear()
+                text = render_json(build_report(knot, **kwargs))
+                assert len(sweeps) == 1, (name, flag)
+                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+                assert digest == REPORT_SHA256[name, flag], text
+        assert build_report(unit_square)["gromov1"]["num"] == 2
 
 
 class TestEuclideanBound:
