@@ -72,7 +72,7 @@ class _Sweep:
     def __init__(self, knot: LatticeKnot, want_heatmap: bool = False):
         self.knot = knot
         n = self.n = knot.n
-        v = np.array(knot.vertices, dtype=np.int64).reshape(n, 3)
+        v = knot.coords
         lo = v.min(axis=0)
         # Python ints: an unvalidated knot may span more than int64
         if max(int(h) - int(l) for h, l in zip(v.max(axis=0), lo)) > n:
@@ -235,8 +235,7 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
     """gromov1_distortion, given the complete vertex sweep of the knot."""
     verts = knot.vertices
     n, half = knot.n, knot.n // 2
-    v = np.array(verts, dtype=np.int64).reshape(n, 3)
-    v -= v.min(axis=0)
+    v = knot.coords - knot.coords.min(axis=0)
     mid = (v + np.roll(v, -1, axis=0)) // 2
     tax = np.abs(mid[:half] - mid[half:]).sum(axis=1)
     tmin = int(tax.min())

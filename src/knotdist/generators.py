@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional
 
-from .lattice import LatticeKnot, validate
+from .lattice import InvalidKnotError, LatticeKnot
 
 # moves 0..5 are +x,-x,+y,-y,+z,-z
 _STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
@@ -188,8 +188,10 @@ def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE, *, max_retries:
         repaired = _repair_touches(walk)
         if repaired is None:
             continue
-        if validate(repaired):
+        try:
             return LatticeKnot.from_true(repaired)
+        except InvalidKnotError:
+            continue
     raise GeneratorError(
         f"could not realise torus knot ({p}, {q}) on the lattice; tried scales {tried}"
     )

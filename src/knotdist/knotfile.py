@@ -4,8 +4,14 @@ Two bodies are accepted under the common header line: one vertex per
 line as three signed integers in true coordinates (the first vertex is
 not repeated at the end), or a single move line over the alphabet
 X x Y y Z z (uppercase steps +1, lowercase -1) starting at the origin.
-`#` starts a comment anywhere.  parse_vertices reads the vertex list
-only; parse_knot also validates it.  Error messages cite line numbers.
+`#` starts a comment anywhere, and lines end where str.splitlines ends
+them.  parse_vertices reads the vertex list only, as an (n, 3) integer
+array; parse_knot also validates it.  Error messages cite line numbers.
+
+A well-formed vertex file is read without a loop over its lines: one
+regex match checks the whole text, and its tokens are converted in one
+pass.  Only a file that fails that match, or uses the move form, is read
+line by line, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
-from .lattice import LatticeKnot, TrueVertex
+import numpy as np
+
+from .lattice import LatticeKnot
 
 HEADER = "latticeknot v1"
 
@@ -27,7 +35,20 @@ _MOVE_STEPS = {
     "z": (0, 0, -1),
 }
 _MOVE_OF_STEP = {v: k for k, v in _MOVE_STEPS.items()}
-_VERTEX_RE = re.compile(r"^([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)$")
+# the line boundaries of str.splitlines; \r\n is two of them here, which
+# only adds a blank line
+_EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_COMMENT_RE = re.compile(f"#[^{_EOL}]*+")
+# whitespace inside a line; on a single stripped line this is \s
+_GAP = rf"[^\S{_EOL}]"
+_INT = r"[+-]?\d++"
+_VERTEX = rf"{_INT}{_GAP}++{_INT}{_GAP}++{_INT}"
+_VERTEX_RE = re.compile(_VERTEX)
+# the header line, then one or more vertex lines, blank lines anywhere;
+# possessive repeats keep no backtracking state per line
+_VERTEX_FILE_RE = re.compile(
+    rf"\s*+{re.escape(HEADER)}(?:{_GAP}*+[{_EOL}]\s*+{_VERTEX})++\s*+"
+)
 
 
 class KnotFileError(ValueError):
@@ -48,13 +69,26 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_vertices(text: str) -> list[TrueVertex]:
-    """Parse either file form into its true vertex list, unvalidated.
+def parse_vertices(text: str) -> np.ndarray:
+    """Parse either file form into its true vertices, unvalidated.
 
-    Raises KnotFileError on syntax problems or a move string that does
-    not close; whether the vertices form a lattice knot is left to
+    Returns an (n, 3) integer array: int64, or Python ints in an object
+    array when a coordinate does not fit in 64 bits.  Raises
+    KnotFileError on syntax problems or a move string that does not
+    close; whether the vertices form a lattice knot is left to
     :func:`validate`.
     """
+    # cutting comments can join "\r#\n" into one line end, so the line
+    # numbers of errors come from the original text
+    code = _COMMENT_RE.sub("", text) if "#" in text else text
+    if _VERTEX_FILE_RE.fullmatch(code):
+        tokens = code.split()
+        del tokens[:2]  # the header
+        try:
+            flat = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        except OverflowError:
+            flat = np.array(list(map(int, tokens)), dtype=object)
+        return flat.reshape(-1, 3)
     lines = _significant_lines(text)
     if not lines:
         raise KnotFileError("empty file; expected header " + repr(HEADER))
@@ -68,15 +102,12 @@ def parse_vertices(text: str) -> list[TrueVertex]:
         if len(body) > 1:
             raise KnotFileError("content after the move line", body[1][0])
         return _move_vertices(body[0][1][len("moves:"):].strip(), line=body[0][0])
-    vertices = []
     for no, line in body:
-        m = _VERTEX_RE.match(line)
-        if not m:
+        if not _VERTEX_RE.fullmatch(line):
             raise KnotFileError(
                 f"expected three signed integers separated by spaces, found {line!r}", no
             )
-        vertices.append(tuple(int(g) for g in m.groups()))
-    return vertices
+    raise AssertionError("the file pattern rejected a vertex file whose every line parses")
 
 
 def parse_knot(text: str) -> LatticeKnot:
@@ -89,7 +120,7 @@ def parse_knot(text: str) -> LatticeKnot:
     return LatticeKnot.from_true(parse_vertices(text))
 
 
-def _move_vertices(moves: str, line: Optional[int] = None) -> list[TrueVertex]:
+def _move_vertices(moves: str, line: Optional[int] = None) -> np.ndarray:
     if not moves:
         raise KnotFileError("empty move string", line)
     bad = [c for c in moves if c not in _MOVE_STEPS]
@@ -97,18 +128,14 @@ def _move_vertices(moves: str, line: Optional[int] = None) -> list[TrueVertex]:
         raise KnotFileError(
             f"move characters must be among XxYyZz, found {bad[0]!r}", line
         )
-    pos = (0, 0, 0)
-    vertices = [pos]
-    for c in moves[:-1]:
-        s = _MOVE_STEPS[c]
-        pos = (pos[0] + s[0], pos[1] + s[1], pos[2] + s[2])
-        vertices.append(pos)
-    s = _MOVE_STEPS[moves[-1]]
-    final = (pos[0] + s[0], pos[1] + s[1], pos[2] + s[2])
+    steps = np.array([_MOVE_STEPS[c] for c in moves], dtype=np.int64)
+    final = tuple(steps.sum(axis=0).tolist())
     if final != (0, 0, 0):
         raise KnotFileError(
             f"move string does not close: ends at {final}, not the origin", line
         )
+    vertices = np.zeros_like(steps)
+    np.cumsum(steps[:-1], axis=0, out=vertices[1:])
     return vertices
 
 

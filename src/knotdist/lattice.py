@@ -14,11 +14,16 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 # Doubled coordinates must stay inside signed 64-bit range; arithmetic on
 # Python ints never wraps, so exceeding this is reported, never silent.
 COORD_LIMIT = 2**63 - 1
+# Largest true coordinate whose doubled value is in range; within it the
+# difference of two coordinates fits in int64 too.
+_TRUE_LIMIT = COORD_LIMIT // 2
 
 
 class Axis(IntEnum):
@@ -108,16 +113,39 @@ class InvalidKnotError(ValueError):
 
 
 TrueVertex = tuple[int, int, int]
+TrueVertices = Union[Sequence[TrueVertex], np.ndarray]
 
 
-def validate(vertices: Sequence[TrueVertex]) -> ValidationResult:
-    """Check a sequence of true integer coordinates against the knot invariants.
+def _true_coords(vertices: TrueVertices) -> np.ndarray:
+    """(n, 3) array of true coordinates: int64 when every coordinate is
+    within +-_TRUE_LIMIT, Python ints in an object array otherwise."""
+    if isinstance(vertices, np.ndarray) and vertices.dtype not in (np.int64, object):
+        vertices = vertices.tolist()  # casting to int64 would wrap uint64 silently
+    try:
+        a = np.asarray(vertices, dtype=np.int64)
+    except OverflowError:
+        a = np.array([[int(c) for c in v] for v in vertices], dtype=object)
+    else:
+        # not abs(): np.abs(-2**63) is negative in int64
+        if a.size and (a.min() < -_TRUE_LIMIT or a.max() > _TRUE_LIMIT):
+            a = a.astype(object)
+    if a.size == 0:
+        a = a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"expected vertices of three coordinates, got shape {a.shape}")
+    return a
 
+
+def validate(vertices: TrueVertices) -> ValidationResult:
+    """Check true integer coordinates against the knot invariants.
+
+    vertices is a sequence of (x, y, z) or an (n, 3) integer array.
     Returns a ValidationResult whose violations name the failed invariant
-    and the offending index or pair.  Never raises: violations are data.
+    and the offending index or pair, grouped by invariant and in index
+    order.  Never raises on integer input: violations are data.
     """
-    vs = [tuple(int(c) for c in v) for v in vertices]
-    n = len(vs)
+    a = _true_coords(vertices)
+    n = len(a)
     violations: list[Violation] = []
     if n < 4:
         violations.append(
@@ -127,31 +155,37 @@ def validate(vertices: Sequence[TrueVertex]) -> ValidationResult:
         violations.append(
             Violation("odd_length", (n,), f"{n} edges; closed lattice polygons have even length")
         )
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        step = sum(abs(a[k] - b[k]) for k in range(3))
-        if step != 1:
-            violations.append(
-                Violation(
-                    "not_closed",
-                    (i, (i + 1) % n),
-                    f"vertices {i} and {(i + 1) % n} are not joined by a unit lattice step",
-                )
+    step = np.abs(np.roll(a, -1, axis=0) - a)
+    # each axis at most 1 before summing: three large steps can wrap to 1
+    unit = (step <= 1).all(axis=1) & (step.sum(axis=1) == 1)
+    for i in np.nonzero(~unit)[0].tolist():
+        j = (i + 1) % n
+        violations.append(
+            Violation(
+                "not_closed",
+                (i, j),
+                f"vertices {i} and {j} are not joined by a unit lattice step",
             )
-    seen: dict[TrueVertex, int] = {}
-    for i, v in enumerate(vs):
-        if v in seen:
-            violations.append(
-                Violation(
-                    "not_embedded",
-                    (seen[v], i),
-                    f"vertex {i} repeats vertex {seen[v]} at {v}",
-                )
+        )
+    # a stable sort puts each vertex's first occurrence at the head of its group
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    head = np.maximum.accumulate(np.where(repeat, 0, np.arange(n)))
+    later = order[repeat]
+    first = order[head[repeat]]
+    by_index = np.argsort(later)
+    for i, f in zip(later[by_index].tolist(), first[by_index].tolist()):
+        violations.append(
+            Violation(
+                "not_embedded",
+                (f, i),
+                f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}",
             )
-        else:
-            seen[v] = i
-    for i, v in enumerate(vs):
-        if any(abs(2 * c) > COORD_LIMIT for c in v):
+        )
+    if a.dtype == object:
+        for i in np.nonzero((np.abs(a) > _TRUE_LIMIT).any(axis=1))[0].tolist():
             violations.append(
                 Violation("out_of_range", (i,), f"vertex {i} exceeds the coordinate range")
             )
@@ -170,18 +204,42 @@ class LatticeKnot:
     vertices: tuple[LatticePoint, ...]
 
     @classmethod
-    def from_true(cls, vertices: Iterable[TrueVertex]) -> "LatticeKnot":
-        """Validate true integer coordinates and build the knot."""
-        vs = list(vertices)
-        result = validate(vs)
+    def from_true(cls, vertices: Union[Iterable[TrueVertex], np.ndarray]) -> "LatticeKnot":
+        """Validate true integer coordinates and build the knot.
+
+        vertices is an iterable of (x, y, z) or an (n, 3) integer array;
+        the doubled coordinates become the knot's `coords` as well.
+        """
+        if not isinstance(vertices, np.ndarray):
+            vertices = list(vertices)
+        a = _true_coords(vertices)
+        result = validate(a)
         if not result:
             raise InvalidKnotError(result)
-        return cls(tuple(LatticePoint.vertex(*v) for v in vs))
+        coords = a * 2
+        # LatticePoint._make per row, without a Python-level call per vertex
+        rows = zip(*coords.T.tolist())
+        knot = cls(tuple(map(tuple.__new__, itertools.repeat(LatticePoint), rows)))
+        coords.flags.writeable = False
+        knot.__dict__["coords"] = coords  # seeds the cached property
+        return knot
 
     @property
     def n(self) -> int:
         """Number of edges (equals number of vertices)."""
         return len(self.vertices)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The doubled vertex coordinates as a read-only (n, 3) int64 array.
+
+        Set by from_true from the array it validated; computed from
+        `vertices` on first use for a knot built any other way, raising
+        OverflowError if a coordinate does not fit in 64 bits.
+        """
+        coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, 3)
+        coords.flags.writeable = False
+        return coords
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

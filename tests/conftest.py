@@ -5,11 +5,22 @@ coordinates with plain loops and Fractions; they share no code with the
 banded engine they are used to check.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from knotdist import LatticeKnot, random_polygon, rectangle, torus_knot
+from knotdist import (
+    KnotFileError,
+    LatticeKnot,
+    LatticePoint,
+    ValidationResult,
+    Violation,
+    random_polygon,
+    rectangle,
+    torus_knot,
+)
+from knotdist.lattice import COORD_LIMIT
 
 
 def reference_vertex_distortion(true_vertices):
@@ -42,6 +53,118 @@ def reference_euclidean_bound(true_vertices):
             d2 = sum((a - b) ** 2 for a, b in zip(true_vertices[i], true_vertices[j]))
             best = max(best, Fraction(arc * arc, d2))
     return best
+
+
+_REFERENCE_HEADER = "latticeknot v1"
+_REFERENCE_STEPS = {
+    "X": (1, 0, 0), "x": (-1, 0, 0),
+    "Y": (0, 1, 0), "y": (0, -1, 0),
+    "Z": (0, 0, 1), "z": (0, 0, -1),
+}
+_REFERENCE_VERTEX_RE = re.compile(r"^([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)$")
+
+
+def reference_parse_vertices(text):
+    """Line-by-line parse of a knot file into a list of true vertex tuples.
+
+    The parser as it was before parse_vertices read whole arrays: every
+    line split off, comments cut, each vertex line matched and converted
+    on its own.  It must accept, reject and report exactly as
+    parse_vertices does.
+    """
+    lines = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((no, line))
+    if not lines:
+        raise KnotFileError("empty file; expected header " + repr(_REFERENCE_HEADER))
+    head_no, head = lines[0]
+    if head != _REFERENCE_HEADER:
+        raise KnotFileError(
+            f"expected header {_REFERENCE_HEADER!r}, found {head!r}", head_no
+        )
+    body = lines[1:]
+    if not body:
+        raise KnotFileError("no vertices or move line after the header", head_no)
+    if body[0][1].startswith("moves:"):
+        if len(body) > 1:
+            raise KnotFileError("content after the move line", body[1][0])
+        moves, line = body[0][1][len("moves:"):].strip(), body[0][0]
+        if not moves:
+            raise KnotFileError("empty move string", line)
+        bad = [c for c in moves if c not in _REFERENCE_STEPS]
+        if bad:
+            raise KnotFileError(
+                f"move characters must be among XxYyZz, found {bad[0]!r}", line
+            )
+        pos = (0, 0, 0)
+        vertices = []
+        for c in moves:
+            vertices.append(pos)
+            pos = tuple(p + s for p, s in zip(pos, _REFERENCE_STEPS[c]))
+        if pos != (0, 0, 0):
+            raise KnotFileError(
+                f"move string does not close: ends at {pos}, not the origin", line
+            )
+        return vertices
+    vertices = []
+    for no, line in body:
+        m = _REFERENCE_VERTEX_RE.match(line)
+        if not m:
+            raise KnotFileError(
+                f"expected three signed integers separated by spaces, found {line!r}", no
+            )
+        vertices.append(tuple(int(g) for g in m.groups()))
+    return vertices
+
+
+def reference_validate(vertices):
+    """Per-vertex check of the knot invariants, violations in the same
+    order as validate's."""
+    vs = [tuple(int(c) for c in v) for v in vertices]
+    n = len(vs)
+    violations = []
+    if n < 4:
+        violations.append(
+            Violation("too_short", (n,), f"{n} vertices; a lattice knot needs at least 4")
+        )
+    if n % 2:
+        violations.append(
+            Violation("odd_length", (n,), f"{n} edges; closed lattice polygons have even length")
+        )
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        if sum(abs(a[k] - b[k]) for k in range(3)) != 1:
+            violations.append(
+                Violation(
+                    "not_closed",
+                    (i, (i + 1) % n),
+                    f"vertices {i} and {(i + 1) % n} are not joined by a unit lattice step",
+                )
+            )
+    seen = {}
+    for i, v in enumerate(vs):
+        if v in seen:
+            violations.append(
+                Violation("not_embedded", (seen[v], i), f"vertex {i} repeats vertex {seen[v]} at {v}")
+            )
+        else:
+            seen[v] = i
+    for i, v in enumerate(vs):
+        if any(abs(2 * c) > COORD_LIMIT for c in v):
+            violations.append(
+                Violation("out_of_range", (i,), f"vertex {i} exceeds the coordinate range")
+            )
+    return ValidationResult(not violations, tuple(violations))
+
+
+def reference_parse_knot(text):
+    """parse_knot from the reference parser and validator."""
+    vertices = reference_parse_vertices(text)
+    result = reference_validate(vertices)
+    assert result.ok, result
+    return LatticeKnot(tuple(LatticePoint.vertex(*v) for v in vertices))
 
 
 def witness_true_pairs(report):

@@ -1,9 +1,13 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotdist import rectangle, serialize_vertices, torus_knot, transform
 from knotdist.cli import main
@@ -210,3 +214,35 @@ class TestErrors:
             code, _, err = run(capsys, ["scale", str(path), "--factor", "2"])
             assert code == 2
             assert "64-bit" in err
+
+    @pytest.mark.parametrize("corner", [-(2**63), 2**62, 2**63, 2**64])
+    def test_out_of_range_exit_one(self, capsys, tmp_path, corner):
+        path = tmp_path / "far.knot"
+        path.write_text(
+            "latticeknot v1\n%d 0 0\n%d 0 0\n%d 1 0\n%d 1 0\n"
+            % (corner, corner - 1, corner - 1, corner),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, out) == (1, "")
+        assert "violation [out_of_range]: vertex 0 exceeds the coordinate range" in err
+        for command in ("compute", "certify"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert (code, out) == (1, "")
+            assert "exceeds the coordinate range" in err
+
+
+FILE_PIECES = ["0", "1", "\u0661", "-", "+", " ", "\t", "\x1f", "\xa0", "\n", "\r", "\r\n",
+               "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "#", "latticeknot v1\n",
+               "moves: ", "XYxy", "1 0 0\n", "0 1 0\n", "1 1 0\n", str(2**63)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.lists(st.sampled_from(FILE_PIECES), max_size=30).map("".join))
+def test_any_file_text_exits_zero_one_or_two(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.knot"
+    path.write_text(text, encoding="utf-8")
+    for command in ("validate", "certify"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2), (command, text)

@@ -3,6 +3,8 @@ exhaustive enumeration."""
 
 import pytest
 from hypothesis import given, settings
+
+import knotdist.lattice
 from hypothesis import strategies as st
 
 from knotdist import (
@@ -66,6 +68,18 @@ class TestTorusKnot:
         knot = torus_knot(2, 5, 2)
         assert validate(knot.true_vertices()).ok
         assert vertex_distortion(knot).delta >= THRESHOLD_LOW
+
+    def test_each_walk_validated_once(self, monkeypatch):
+        calls = []
+        real = knotdist.lattice.validate
+
+        def counting(vertices):
+            calls.append(len(vertices))
+            return real(vertices)
+
+        monkeypatch.setattr(knotdist.lattice, "validate", counting)
+        knot = torus_knot(2, 3, 2)
+        assert calls == [knot.n]
 
     def test_doubling_stability(self, trefoil):
         assert (

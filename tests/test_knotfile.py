@@ -1,17 +1,27 @@
 """Knot file parsing, serialization, round trips, diagnostics."""
 
-import pytest
+import tracemalloc
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import knotdist.knotfile
 from knotdist import (
     InvalidKnotError,
     KnotFileError,
     move_string,
     parse_knot,
+    parse_vertices,
+    random_polygon,
     rectangle,
     serialize_moves,
     serialize_vertices,
     transform,
+    validate,
 )
+from conftest import reference_parse_knot, reference_parse_vertices, reference_validate
 
 SQUARE_FILE = """latticeknot v1
 # the smallest lattice knot
@@ -99,3 +109,136 @@ class TestRoundTrip:
         lines = serialize_vertices(rectangle(1, 1)).splitlines()
         assert lines[1] == "0 0 0"
         assert lines[2] == "1 0 0"
+
+
+# every line boundary of str.splitlines, and whitespace that ends no line
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+             "\x85", "\u2028", "\u2029"]
+GAPS = [" ", "\t", "\x1f", "\xa0"]
+PIECES = (["0", "1", "7", "\u0661", "+", "-", "#", "latticeknot v1", "moves:", "X", "y", "Z"]
+          + GAPS + LINE_ENDS)
+soup = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+gap = st.lists(st.sampled_from(GAPS), min_size=1, max_size=2).map("".join)
+pad = st.lists(st.sampled_from(GAPS), max_size=2).map("".join)
+line_end = st.sampled_from(LINE_ENDS)
+# translations that cross the int64 and the doubled-coordinate limits
+offsets = st.sampled_from([0, 2**30, 2**62 - 8, -(2**62), 2**63 - 3, -(2**63), 2**64])
+offsets |= st.integers(-(2**65), 2**65)
+
+
+@st.composite
+def integer_token(draw, c):
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(c))
+    if draw(st.booleans()):
+        digits = digits.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                                                "\u0664\u0665\u0666\u0667\u0668\u0669"))
+    sign = "-" if c < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + digits
+
+
+@st.composite
+def vertex_files(draw):
+    """Vertex-form files with every separator, and sometimes one flaw."""
+    length, seed = draw(st.sampled_from([4, 6, 8, 12])), draw(st.integers(0, 3))
+    vertices = random_polygon(length, seed).true_vertices()
+    offset = draw(offsets)
+    vertices = [(x + offset, y, z) for x, y, z in vertices]
+    flaw = draw(st.sampled_from(["none", "none", "drop", "repeat", "junk"]))
+    lines = [draw(gap).join([draw(integer_token(c)) for c in v]) for v in vertices]
+    at = draw(st.integers(0, len(lines) - 1))
+    if flaw == "drop":
+        del lines[at]
+    elif flaw == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    elif flaw == "junk":
+        lines[at] = draw(soup)
+    text = draw(st.sampled_from(["", "# comment", "\n"])) + draw(line_end)
+    text += draw(pad) + "latticeknot v1" + draw(pad) + draw(st.sampled_from(["", "# v1"]))
+    for line in lines:
+        text += draw(line_end) + draw(st.sampled_from(["", "\n", "\t"]))
+        text += draw(pad) + line + draw(pad) + draw(st.sampled_from(["", "#", "# 1 2 3"]))
+    return text + draw(st.sampled_from(["", "\n", "\r\n \n"]))
+
+
+def outcome(parse, text):
+    """A parser's vertices as tuples of ints, or its exception."""
+    try:
+        vertices = parse(text)
+    except Exception as exc:  # compared type and message against the reference
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [tuple(int(c) for c in v) for v in vertices]
+
+
+class TestAgainstReferenceParser:
+    """parse_vertices and validate against the line-by-line reference."""
+
+    def check(self, text):
+        got = outcome(parse_vertices, text)
+        assert got == outcome(reference_parse_vertices, text), repr(text)
+        if isinstance(got, list):
+            want = reference_validate(got)
+            assert validate(parse_vertices(text)) == want, repr(text)
+            if want.ok:
+                knot = parse_knot(text)
+                assert knot == reference_parse_knot(text)
+                assert knot.coords.tolist() == [list(v) for v in knot.vertices]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=soup)
+    def test_token_soup(self, text):
+        self.check("latticeknot v1\n" + text)
+        self.check(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=vertex_files())
+    def test_vertex_files(self, text):
+        self.check(text)
+
+    def test_reference_cases(self):
+        for text in [
+            SQUARE_FILE,
+            SQUARE_FILE.replace("\n", "\r\n"),
+            SQUARE_FILE.replace(" ", "\x1f"),
+            "latticeknot v1\n0 0 0\n1 0 0 \x1c 1 1 0\n0 1 0\n",  # \x1c ends a line
+            "latticeknot v1\n0 0 0\n1 0 0\n1 1 0\n0 1 0 5\n",
+            "latticeknot v1 # v1\n\u0661 0 0\n2 0 0\n2 1 0\n1 1 0\n",
+            "latticeknot v1\n%d 0 0\n1 0 0\n" % 2**64,
+            "latticeknot v1\nmoves: XYxy\n",
+            "latticeknot v1\nmoves: XY xy\n",
+            "latticeknot v1\n\n",
+            "latticeknot v1\n\r#\n0",  # the cut comment must not join \r and \n
+            "latticeknot v10\n0 0 0\n",
+            "",
+        ]:
+            self.check(text)
+
+    def test_valid_files_skip_the_line_loop(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("a well-formed vertex file was read line by line")
+
+        monkeypatch.setattr(knotdist.knotfile, "_significant_lines", refuse)
+        text = "# c\r\n latticeknot v1 #\r\n\r\n0\t0 0 # a\x851 0 0\n1 1 0\u20280 1 0\n"
+        assert parse_knot(text) == rectangle(1, 1)
+        with pytest.raises(AssertionError):
+            parse_knot("latticeknot v1\nmoves: XYxy\n")
+
+    def test_overflowing_tokens_stay_exact(self):
+        big = 2**64 + 1
+        got = parse_vertices(f"latticeknot v1\n{big} -{big} 0\n")
+        assert got.dtype == object
+        assert got.tolist() == [[big, -big, 0]]
+        assert parse_vertices("latticeknot v1\n-9223372036854775808 0 1\n").dtype == np.int64
+
+
+def test_parse_peak_memory_within_reference():
+    text = serialize_vertices(rectangle(1, 4999))
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_knot) <= peak(reference_parse_knot)

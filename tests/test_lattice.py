@@ -1,5 +1,6 @@
 """Data model: validation, sticks, scaling, midpoints, isometries."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from knotdist import (
     LatticePoint,
     decompose_sticks,
     lattice_isometries,
+    gromov1_distortion,
+    heatmap,
     midpoints,
     random_polygon,
     rectangle,
@@ -18,6 +21,8 @@ from knotdist import (
     transform,
     validate,
 )
+from knotdist.report import build_report
+from conftest import reference_validate
 
 UNIT_SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
 
@@ -53,6 +58,81 @@ class TestValidate:
         with pytest.raises(InvalidKnotError) as err:
             LatticeKnot.from_true([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
         assert not err.value.result.ok
+
+
+class TestInt64Limits:
+    """validate computes in int64 only where no step can wrap."""
+
+    def test_large_steps_do_not_wrap_to_a_unit_step(self):
+        # per axis |d| is 2^63 - 2, 2^63 - 2 and 5: their int64 sum wraps to 1
+        a = 2**62 - 1
+        vertices = [(a, a, 0), (-a, -a, 5), (-a, -a, 6), (a, a, 1)]
+        result = validate(vertices)
+        assert [(v.code, v.where) for v in result.violations] == [
+            ("not_closed", (0, 1)),
+            ("not_closed", (2, 3)),
+        ]
+        assert result == reference_validate(vertices)
+
+    @pytest.mark.parametrize(
+        "corner", [-(2**63), 2**62, -(2**62), 2**63, 2**64, -(2**64), 2**62 - 1, -(2**62) + 1]
+    )
+    def test_coordinate_range(self, corner):
+        # a unit square reaching just past (or to) the doubled-coordinate limit
+        step = 1 if corner < 0 else -1
+        vertices = [(corner, 0, 0), (corner + step, 0, 0), (corner + step, 1, 0),
+                    (corner, 1, 0)]
+        result = validate(vertices)
+        assert result == reference_validate(vertices)
+        in_range = abs(corner) < 2**62
+        assert result.ok == in_range
+        if not in_range:
+            assert result.violations[0] == (
+                "out_of_range", (0,), "vertex 0 exceeds the coordinate range"
+            )
+
+    def test_int64_min_is_out_of_range(self):
+        # np.abs(-2**63) is -2**63 in int64, so a range check by abs misses it
+        vertices = [(-(2**63), 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+        result = validate(vertices)
+        assert ("out_of_range", (0,)) in [(v.code, v.where) for v in result.violations]
+        assert result == reference_validate(vertices)
+
+    def test_array_input(self):
+        vertices = np.array(UNIT_SQUARE, dtype=np.int64)
+        assert validate(vertices).ok
+        assert validate(np.array(UNIT_SQUARE, dtype=object)).ok
+        assert validate(np.empty((0, 3), dtype=np.int64)) == reference_validate([])
+        far = [(2**64 - 2 + x, y, z) for x, y, z in UNIT_SQUARE]
+        result = validate(np.array(far, dtype=np.uint64))
+        assert not result.ok
+        assert result == reference_validate(far)
+
+
+class TestCoords:
+    def test_from_true_seeds_read_only_coords(self):
+        knot = LatticeKnot.from_true(np.array(UNIT_SQUARE))
+        assert "coords" in vars(knot)
+        assert knot.coords.dtype == np.int64
+        assert not knot.coords.flags.writeable
+        assert knot.coords.tolist() == [list(v) for v in knot.vertices]
+        assert knot.vertices[1] == LatticePoint(2, 0, 0)
+        assert type(knot.vertices[1]) is LatticePoint
+
+    def test_other_knots_compute_coords_on_use(self):
+        moved = transform(rectangle(2, 3), translate=(5, -1, 2**40))
+        assert "coords" not in vars(moved)
+        assert not moved.coords.flags.writeable
+        assert moved.coords.tolist() == [list(v) for v in moved.vertices]
+
+    def test_sweeps_leave_coords_unchanged(self):
+        moved = transform(rectangle(3, 5), translate=(7, -2, 2**40))
+        knot = LatticeKnot.from_true(moved.true_vertices())
+        before = knot.coords.copy()
+        build_report(knot, with_heatmap=True)
+        gromov1_distortion(knot, prune=False)
+        heatmap(knot)
+        assert np.array_equal(knot.coords, before)
 
 
 class TestParity:
