@@ -147,7 +147,9 @@ def reference_validate(vertices):
     for i, v in enumerate(vs):
         if v in seen:
             violations.append(
-                Violation("not_embedded", (seen[v], i), f"vertex {i} repeats vertex {seen[v]} at {v}")
+                Violation(
+                    "not_embedded", (seen[v], i), f"vertex {i} repeats vertex {seen[v]} at {v}"
+                )
             )
         else:
             seen[v] = i
