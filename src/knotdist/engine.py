@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import LatticeKnot, LatticePoint
+from .metrics import taxicab_doubled
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
 
@@ -124,11 +125,12 @@ class _Sweep:
 
     def run(self, prune: bool) -> tuple[Fraction, frozenset[WitnessPair], int, bool]:
         n = self.n
-        delta = Fraction(1)
+        # the running maximum num/den, compared by cross-multiplication
+        num, den = 1, 1
         index_pairs: set[tuple[int, int]] = set()
         bands = pairs = 0
         for d in range(n // 2, 0, -1):
-            if prune and delta > d:
+            if prune and num > d * den:
                 break
             bands += 1
             # the antipodal band meets each of its pairs from both ends
@@ -137,11 +139,11 @@ class _Sweep:
             if self.want_heatmap:
                 self._update_heatmap(d, dist)
             dmin = int(dist.min())
-            best = Fraction(2 * d, dmin)
-            if best < delta:
+            lhs, rhs = 2 * d * den, num * dmin
+            if lhs < rhs:
                 continue
-            if best > delta:
-                delta = best
+            if lhs > rhs:
+                num, den = 2 * d, dmin
                 index_pairs.clear()
             for i in np.nonzero(dist == dmin)[0].tolist():
                 j = (i - d) % n
@@ -150,18 +152,18 @@ class _Sweep:
             _ordered_pair(self.knot.vertices[i], self.knot.vertices[j])
             for i, j in index_pairs
         )
-        return delta, witnesses, pairs, bands < n // 2
+        return Fraction(num, den), witnesses, pairs, bands < n // 2
 
     def run_euclidean(self) -> Fraction:
-        best = Fraction(0)
+        num, den = 0, 1
         for d in range(self.n // 2, 0, -1):
             # doubled squared distances are >= 4, so band d gives at most d^2
-            if best >= d * d:
+            if num >= d * d * den:
                 break
-            cand = Fraction(4 * d * d, int(self._band(d, square=True).min()))
-            if cand > best:
-                best = cand
-        return best
+            e2 = int(self._band(d, square=True).min())
+            if 4 * d * d * den > num * e2:
+                num, den = 4 * d * d, e2
+        return Fraction(num, den)
 
     def heatmap_rows(self) -> tuple[HeatmapRow, ...]:
         return tuple(
@@ -260,13 +262,9 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
                 for q_off in (ob - 1, ob, ob + 1):
                     arc = (p_off - q_off) % (2 * n)
                     p, q = point(p_off), point(q_off)
-                    if arc and Fraction(min(arc, 2 * n - arc), _taxicab_doubled(p, q)) == delta:
+                    if arc and Fraction(min(arc, 2 * n - arc), taxicab_doubled(p, q)) == delta:
                         witnesses.add(_ordered_pair(p, q))
     return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
-
-
-def _taxicab_doubled(a: LatticePoint, b: LatticePoint) -> int:
-    return abs(a.x - b.x) + abs(a.y - b.y) + abs(a.z - b.z)
 
 
 def brute_force_vm_distortion(
@@ -292,7 +290,7 @@ def brute_force_vm_distortion(
         for j in range(i + 1, m):
             off_b, b = pts[j]
             arc = min(off_b - off_a, circumference - (off_b - off_a))
-            d1 = _taxicab_doubled(a, b)
+            d1 = taxicab_doubled(a, b)
             lhs = arc * best_den
             rhs = best_num * d1
             if lhs > rhs:

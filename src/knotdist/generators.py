@@ -11,52 +11,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Optional
 
-from .lattice import InvalidKnotError, LatticeKnot
+from .lattice import UNIT_STEPS, InvalidKnotError, LatticeKnot, lattice_isometries
 
 # moves 0..5 are +x,-x,+y,-y,+z,-z
-_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+_STEPS = UNIT_STEPS
 _OPPOSITE = (1, 0, 3, 2, 5, 4)
 
 DEFAULT_TORUS_SCALE = 3
+# sampling scales torus_knot tries, from the requested one upwards
+_TORUS_SCALES_TRIED = 4
+# touch points _repair_touches detours before giving up on a walk
+_REPAIR_PASSES = 16
+# seeded searches random_polygon runs, and the nodes each may visit
+_POLYGON_ATTEMPTS = 8
+_WALK_NODE_BUDGET = 500_000
 
 
 class GeneratorError(RuntimeError):
     """A generator exhausted its retry budget without a valid knot."""
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of a corpus conformation.
-
-    kind is one of rectangle, torus, random, exhaustive; only the fields
-    of the chosen kind matter.  Identical specs produce identical knots.
-    """
-
-    kind: str
-    m: int = 1
-    n: int = 1
-    p: int = 2
-    q: int = 3
-    scale: int = DEFAULT_TORUS_SCALE
-    length: int = 4
-    seed: int = 0
-    n_max: int = 8
-
-    def knots(self) -> Iterator[LatticeKnot]:
-        if self.kind == "rectangle":
-            yield rectangle(self.m, self.n)
-        elif self.kind == "torus":
-            yield torus_knot(self.p, self.q, self.scale)
-        elif self.kind == "random":
-            yield random_polygon(self.length, self.seed)
-        elif self.kind == "exhaustive":
-            yield from exhaustive_small(self.n_max)
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 def rectangle(m: int, n: int) -> LatticeKnot:
@@ -126,9 +100,7 @@ def _drop_backtracks(walk: list[tuple[int, int, int]]) -> list[tuple[int, int, i
     return walk
 
 
-def _repair_touches(
-    walk: list[tuple[int, int, int]], max_passes: int = 16
-) -> Optional[list[tuple[int, int, int]]]:
+def _repair_touches(walk: list[tuple[int, int, int]]) -> Optional[list[tuple[int, int, int]]]:
     """Detour repeated vertices by pushing the later visit one unit aside.
 
     A touch point v with neighbors a, b is replaced by the three fresh
@@ -136,7 +108,7 @@ def _repair_touches(
     incident steps; unit lattice squares have no lattice points in their
     interior, so the detour never crosses the rest of the walk.
     """
-    for _ in range(max_passes):
+    for _ in range(_REPAIR_PASSES):
         seen: dict[tuple[int, int, int], int] = {}
         dup_at = -1
         for i, v in enumerate(walk):
@@ -167,13 +139,13 @@ def _repair_touches(
     return None
 
 
-def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE, *, max_retries: int = 4) -> LatticeKnot:
+def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE) -> LatticeKnot:
     """Lattice conformation of the (p, q) torus knot.
 
     Built by sample-round-repair at the given sampling scale; if the
-    rounded path cannot be made self-avoiding the scale is bumped, up to
-    max_retries times.  The knot type is as faithful as the sampling:
-    it is not verified independently.
+    rounded path cannot be made self-avoiding the scale is bumped, trying
+    _TORUS_SCALES_TRIED scales in all.  The knot type is as faithful as
+    the sampling: it is not verified independently.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
@@ -182,7 +154,7 @@ def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE, *, max_retries:
     if scale < 2:
         raise ValueError(f"sampling scale must be >= 2, got {scale}")
     tried = []
-    for s in range(scale, scale + max_retries):
+    for s in range(scale, scale + _TORUS_SCALES_TRIED):
         tried.append(s)
         walk = _drop_backtracks(_connect(_sample_torus(p, q, s)))
         repaired = _repair_touches(walk)
@@ -200,7 +172,7 @@ def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE, *, max_retries:
 # -- random polygons -------------------------------------------------------
 
 
-def random_polygon(length: int, seed: int, *, max_attempts: int = 8) -> LatticeKnot:
+def random_polygon(length: int, seed: int) -> LatticeKnot:
     """Seeded closed self-avoiding polygon with exactly `length` edges.
 
     Backtracking search over unit moves, pruned by taxicab reachability
@@ -210,9 +182,9 @@ def random_polygon(length: int, seed: int, *, max_attempts: int = 8) -> LatticeK
     """
     if length < 4 or length % 2:
         raise ValueError(f"polygon length must be even and >= 4, got {length}")
-    for attempt in range(max_attempts):
+    for attempt in range(_POLYGON_ATTEMPTS):
         rng = random.Random(f"knotdist.random_polygon:{seed}:{attempt}")
-        walk = _random_walk(length, rng, node_budget=500_000)
+        walk = _random_walk(length, rng)
         if walk is not None:
             return LatticeKnot.from_true(walk)
     raise GeneratorError(
@@ -220,9 +192,7 @@ def random_polygon(length: int, seed: int, *, max_attempts: int = 8) -> LatticeK
     )
 
 
-def _random_walk(
-    length: int, rng: random.Random, node_budget: int
-) -> Optional[list[tuple[int, int, int]]]:
+def _random_walk(length: int, rng: random.Random) -> Optional[list[tuple[int, int, int]]]:
     origin = (0, 0, 0)
     path = [origin]
     visited = {origin}
@@ -249,7 +219,7 @@ def _random_walk(
         if dist > moves_left - 1 or (moves_left - 1 - dist) % 2:
             continue
         nodes += 1
-        if nodes > node_budget:
+        if nodes > _WALK_NODE_BUDGET:
             return None
         path.append(nxt)
         visited.add(nxt)
@@ -260,20 +230,10 @@ def _random_walk(
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _move_relabelings() -> tuple[tuple[int, ...], ...]:
-    """The 48 signed axis permutations as relabelings of the six moves."""
-    tables = []
-    for perm in permutations(range(3)):
-        for flips in range(8):
-            table = [0] * 6
-            for mv in range(6):
-                axis, neg = divmod(mv, 2)
-                table[mv] = 2 * perm[axis] + (neg ^ ((flips >> axis) & 1))
-            tables.append(tuple(table))
-    return tuple(tables)
-
-
-_RELABELINGS = _move_relabelings()
+# the 48 lattice isometries as relabelings of the six moves
+_RELABELINGS = tuple(
+    tuple(_STEPS.index(iso.apply(step)) for step in _STEPS) for iso in lattice_isometries()
+)
 
 
 def canonical_moves(moves: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,18 +22,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lattice import LatticeKnot
+from .lattice import UNIT_STEPS, LatticeKnot
 
 HEADER = "latticeknot v1"
 
-_MOVE_STEPS = {
-    "X": (1, 0, 0),
-    "x": (-1, 0, 0),
-    "Y": (0, 1, 0),
-    "y": (0, -1, 0),
-    "Z": (0, 0, 1),
-    "z": (0, 0, -1),
-}
+_MOVE_STEPS = dict(zip("XxYyZz", UNIT_STEPS))
 _MOVE_OF_STEP = {v: k for k, v in _MOVE_STEPS.items()}
 # the line boundaries of str.splitlines; \r\n is two of them here, which
 # only adds a blank line

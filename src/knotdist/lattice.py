@@ -25,6 +25,9 @@ COORD_LIMIT = 2**63 - 1
 # difference of two coordinates fits in int64 too.
 _TRUE_LIMIT = COORD_LIMIT // 2
 
+# The six unit steps of the lattice in true coordinates: +x, -x, +y, -y, +z, -z.
+UNIT_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
 
 class Axis(IntEnum):
     X = 0
@@ -198,7 +201,9 @@ class LatticeKnot:
 
     Instances are immutable and hashable; all derived structure (edges,
     arc offsets) is cached lazily.  Construct through :meth:`from_true`,
-    the generators, or the file parser, which all validate.
+    the generators, or the file parser, which all validate; :func:`scale`
+    and :func:`transform` build their knots directly, without validating,
+    from a knot that is already valid.
     """
 
     vertices: tuple[LatticePoint, ...]

@@ -20,7 +20,7 @@ from .engine import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
-from .lattice import LatticeKnot, LatticePoint
+from .lattice import LatticeKnot
 from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
@@ -43,12 +43,8 @@ def ratio_doc(value: Fraction) -> dict:
     }
 
 
-def _true_coords(p: LatticePoint) -> list:
-    return [c // 2 if c % 2 == 0 else c / 2 for c in p]
-
-
 def witness_docs(report: DistortionReport) -> list:
-    pairs = sorted((_true_coords(a), _true_coords(b)) for a, b in report.witnesses)
+    pairs = sorted((a.as_true(), b.as_true()) for a, b in report.witnesses)
     return [[a, b] for a, b in pairs]
 
 
@@ -56,7 +52,7 @@ def heatmap_docs(rows: Sequence[HeatmapRow]) -> list:
     return [
         {
             "index": r.index,
-            "vertex": _true_coords(r.vertex),
+            "vertex": r.vertex.as_true(),
             "num": r.value.numerator,
             "den": r.value.denominator,
             "decimal": format_decimal(r.value),

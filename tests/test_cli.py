@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotdist import rectangle, serialize_vertices, torus_knot, transform
+from knotdist import cli, random_polygon, rectangle, serialize_vertices, torus_knot, transform
 from knotdist.cli import main
 from knotdist.report import build_report
 
@@ -133,6 +133,29 @@ class TestScaleGenerate:
         code, out, _ = run(capsys, ["generate", "--kind", "rectangle", "--m", "1", "--n", "1"])
         assert code == 0
         assert out == serialize_vertices(rectangle(1, 1))
+        code, out, _ = run(capsys, ["generate", "--kind", "rectangle", "--m", "2", "--n", "3"])
+        assert code == 0
+        assert out == serialize_vertices(rectangle(2, 3))
+
+    def test_generate_torus_flags(self, capsys):
+        code, out, _ = run(
+            capsys, ["generate", "--kind", "torus", "--p", "3", "--q", "2", "--scale", "2"]
+        )
+        assert code == 0
+        assert out == serialize_vertices(torus_knot(3, 2, 2))
+        assert out != serialize_vertices(torus_knot(2, 3, 2))
+        assert out != serialize_vertices(torus_knot(3, 2, 3))
+
+    def test_generate_random_deterministic(self, capsys):
+        argv = ["generate", "--kind", "random", "--length", "12", "--seed", "9"]
+        first = run(capsys, argv)
+        assert first == run(capsys, argv)
+        assert first == (0, serialize_vertices(random_polygon(12, 9)), "")
+
+    def test_generate_unknown_kind(self, capsys):
+        code, out, err = run(capsys, ["generate", "--kind", "mystery"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
 
     def test_generate_random_moves_form(self, capsys, tmp_path):
         out_path = tmp_path / "rand.knot"
@@ -230,6 +253,36 @@ class TestErrors:
             code, out, err = run(capsys, [command, str(path)])
             assert (code, out) == (1, "")
             assert "exceeds the coordinate range" in err
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch, square_file):
+    def rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    assert run(capsys, ["validate", str(square_file)]) == (0, "ok\n", "")
+    assert run(capsys, ["certify", str(square_file)])[0] == 0
+
+
+# small integers only: a huge --m, --length or --factor allocates without limit
+ARG_PIECES = ["--kind", "rectangle", "torus", "random", "mystery", "--m", "--n", "--p", "--q",
+              "--scale", "--length", "--seed", "--max-edges", "--factor", "--form", "moves",
+              "vertices", "x", "", "-"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["generate", "enumerate", "scale"]),
+    args=st.lists(st.one_of(st.sampled_from(ARG_PIECES), st.integers(-2, 7).map(str)),
+                  max_size=8),
+)
+def test_any_arguments_exit_zero_one_or_two(tmp_path_factory, command, args):
+    path = tmp_path_factory.getbasetemp() / "square-args.knot"
+    path.write_text(serialize_vertices(rectangle(1, 1)), encoding="utf-8")
+    argv = [command] + ([str(path)] if command == "scale" else []) + args
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
 
 
 FILE_PIECES = ["0", "1", "\u0661", "-", "+", " ", "\t", "\x1f", "\xa0", "\n", "\r", "\r\n",

@@ -8,7 +8,6 @@ import knotdist.lattice
 from hypothesis import strategies as st
 
 from knotdist import (
-    GeneratorSpec,
     THRESHOLD_LOW,
     exhaustive_small,
     random_polygon,
@@ -204,16 +203,3 @@ class TestExhaustiveSmall:
             assert (cert.verdict == "unknot_certified") == (cert.delta <= THRESHOLD_LOW)
             assert not cert.near_threshold
 
-
-class TestGeneratorSpec:
-    def test_rectangle_spec(self):
-        knot = next(GeneratorSpec(kind="rectangle", m=2, n=3).knots())
-        assert knot == rectangle(2, 3)
-
-    def test_random_spec_deterministic(self):
-        spec = GeneratorSpec(kind="random", length=12, seed=9)
-        assert next(spec.knots()) == next(spec.knots())
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            next(GeneratorSpec(kind="mystery").knots())
