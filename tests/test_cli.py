@@ -133,6 +133,8 @@ class TestScaleGenerate:
         code, out, _ = run(capsys, ["generate", "--kind", "rectangle", "--m", "1", "--n", "1"])
         assert code == 0
         assert out == serialize_vertices(rectangle(1, 1))
+
+    def test_generate_rectangle_sides(self, capsys):
         code, out, _ = run(capsys, ["generate", "--kind", "rectangle", "--m", "2", "--n", "3"])
         assert code == 0
         assert out == serialize_vertices(rectangle(2, 3))
