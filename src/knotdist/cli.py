@@ -12,7 +12,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .engine import vertex_distortion, vertex_distortion_with_heatmap
-from .generators import GeneratorError, exhaustive_small, random_polygon, rectangle, torus_knot
+from .generators import (
+    GeneratorError,
+    exhaustive_small,
+    random_polygon,
+    rectangle,
+    torus_knot,
+    torus_sample_bound,
+)
 from .knotfile import load_knot, move_string, parse_vertices, serialize
 from .lattice import scale, validate
 from .midpoint_analysis import certify_unknot
@@ -23,6 +30,13 @@ from .report import (
     ratio_doc,
     render_json,
 )
+
+
+# Most lattice points one generate or scale request may build: the edges
+# of the knot it writes, or for a torus knot the curve points it samples.
+# Larger requests are refused, by arithmetic on the arguments, before
+# anything is allocated.
+MAX_EDGES = 1_000_000
 
 
 class UsageError(ValueError):
@@ -75,23 +89,37 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _check_size(points: int) -> None:
+    if points > MAX_EDGES:
+        raise UsageError(
+            f"request too large: it would build more than {MAX_EDGES} lattice points"
+        )
+
+
 def _cmd_scale(args) -> int:
     if args.factor < 1:
         raise UsageError("--factor must be a positive integer")
-    _write(serialize(scale(load_knot(args.file), args.factor), args.form), args.output)
+    knot = load_knot(args.file)
+    _check_size(knot.n * args.factor)
+    _write(serialize(scale(knot, args.factor), args.form), args.output)
     return 0
 
 
-# --kind name -> the generator call it makes from the parsed flags
+# --kind name -> the lattice points a request builds, and the generator call
 _GENERATORS = {
-    "rectangle": lambda args: rectangle(args.m, args.n),
-    "torus": lambda args: torus_knot(args.p, args.q, args.scale),
-    "random": lambda args: random_polygon(args.length, args.seed),
+    "rectangle": (lambda args: 2 * (args.m + args.n), lambda args: rectangle(args.m, args.n)),
+    "torus": (
+        lambda args: torus_sample_bound(args.p, args.q, args.scale),
+        lambda args: torus_knot(args.p, args.q, args.scale),
+    ),
+    "random": (lambda args: args.length, lambda args: random_polygon(args.length, args.seed)),
 }
 
 
 def _cmd_generate(args) -> int:
-    _write(serialize(_GENERATORS[args.kind](args), args.form), args.output)
+    points, make = _GENERATORS[args.kind]
+    _check_size(points(args))
+    _write(serialize(make(args), args.form), args.output)
     return 0
 
 

@@ -1,15 +1,29 @@
 """Vertex distortion engine.
 
-The driver enumerates vertex pairs in bands of constant arc distance,
-outer loop running from the antipodal band d = floor(n/2) down to 1 and
-pairing index i with i - d (mod n).  Within a band the arc length is
-fixed, so the band's best ratio is d over the band's minimum taxicab
-distance, and the whole band can be evaluated with three vectorised
-integer operations.  Early termination cuts the outer loop as soon as
-no remaining band can reach the running maximum: distinct vertices are
-at taxicab distance >= 1, so a band at arc distance d contributes at
-most d.  The cut fires only for d strictly below the maximum, which
-keeps the witness set identical to the unpruned run.
+Vertex pairs are grouped in bands of constant arc distance: band d pairs
+index i with i - d (mod n), for d = 1 .. h = floor(n/2).  Within a band
+the arc length is fixed, so the band's best ratio is 2d over the band
+minimum m(d) of the taxicab distances (doubled units), and the whole
+band is evaluated with three vectorised integer operations.
+
+The full sweep evaluates every band.  The pruned run refines instead:
+each step moves one end of a pair by one edge, which changes its taxicab
+distance by exactly 2, so m is 2-Lipschitz in d; and each step changes
+the coordinate sum by 2, so m(d) = 2d (mod 4) and m(d) >= 2 for odd d,
+>= 4 for even d.  Between two evaluated bands a < b, every band d thus
+has m(d) >= lb(d) = max(m(a) - 2(d - a), m(b) - 2(b - d), 2 or 4), and
+its ratio is at most 2d / lb(d).  The run evaluates the antipodal band h
+first, with band 0 as a virtual left end (m(0) = 0), and keeps the open
+intervals between evaluated bands in a heap ordered by the largest bound
+inside them, found in closed form.  An interval whose bound is strictly
+below the running maximum is dropped; any other gets the band at its
+bound's argmax evaluated and is split there (Piyavskii-Shubert branch
+and bound).  A band that reaches the final maximum has a bound at least
+that maximum, so it is never dropped: the strict test keeps the witness
+set identical to the full sweep's.  Taken highest bound first, every
+evaluated band other than h has d >= its bound >= the maximum, so at most
+h - ceil(delta) + 1 bands are evaluated; on compact knots, where the
+maximum is small, a few dozen.
 
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
@@ -19,7 +33,8 @@ pairs and a check of the neighbours of each vertex witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,15 +53,20 @@ class DistortionReport:
     delta is the maximum ratio, witnesses the deduplicated unordered
     point pairs achieving it (each pair tuple in coordinate order),
     pairs_examined the number of distinct index pairs evaluated, and
-    pruned whether early termination skipped any band.  For the
+    pruned whether the pruned run skipped any band.  For the
     curve-wide maximum, pairs_examined is the vertex pairs examined plus
     the n/2 antipodal midpoint pairs, and pruned is the vertex sweep's.
+    A vertex sweep also keeps the witnesses as vertex index pairs, which
+    take no part in equality.
     """
 
     delta: Fraction
     witnesses: frozenset[WitnessPair]
     pairs_examined: int
     pruned: bool
+    _index_pairs: frozenset[tuple[int, int]] = field(
+        default=frozenset(), compare=False, repr=False
+    )
 
 
 class HeatmapRow(NamedTuple):
@@ -57,6 +77,34 @@ class HeatmapRow(NamedTuple):
 
 def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
     return (a, b) if a <= b else (b, a)
+
+
+def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
+    """Largest band bound 2d / lb(d) over a < d < b, as (num, den, argmax d).
+
+    ma and mb are the band minima at a and b (doubled units), and
+    lb(d) = max(ma - 2(d - a), mb - 2(b - d), 2 if d is odd else 4).
+    Write A = ma + 2a and B = mb - 2b, both multiples of 4 by the parity
+    rule, so the cones are A - 2d and B + 2d.  Within one parity class
+    the floor f is constant, and 2d over the falling cone or over f
+    rises with d, while 2d / (B + 2d) does not, since B <= 0.  The rising
+    cone is the largest term exactly for d >= t = max((A - B) / 4,
+    (f - B) / 2), so over real d the bound peaks at t.  Over the class it
+    peaks at the member next to t on either side, or next to a or b when
+    t lies outside the interval; those few candidates are all checked.
+    """
+    big_a, big_b = ma + 2 * a, mb - 2 * b
+    cross = (big_a - big_b) // 4
+    num, den, arg = 0, 1, a
+    for d in (a + 1, a + 2, cross - 1, cross, cross + 1, 1 - big_b // 2, 2 - big_b // 2,
+              b - 2, b - 1):
+        if a < d < b:
+            lb = max(big_a - 2 * d, big_b + 2 * d)
+            if lb < 2:  # the cones have the parity of 2d, so the floor is larger
+                lb = 2 if d & 1 else 4
+            if 2 * d * den > num * lb:
+                num, den, arg = 2 * d, lb, d
+    return num, den, arg
 
 
 class _Sweep:
@@ -123,36 +171,72 @@ class _Sweep:
 
     # -- drivers ------------------------------------------------------------
 
-    def run(self, prune: bool) -> tuple[Fraction, frozenset[WitnessPair], int, bool]:
+    def _step(self, d: int) -> int:
+        """Evaluate band d into the running maximum; return the band minimum.
+
+        A band that beats the maximum replaces the witness index pairs, one
+        that ties it adds its own, so bands may be evaluated in any order.
+        """
         n = self.n
-        # the running maximum num/den, compared by cross-multiplication
-        num, den = 1, 1
-        index_pairs: set[tuple[int, int]] = set()
-        bands = pairs = 0
-        for d in range(n // 2, 0, -1):
-            if prune and num > d * den:
-                break
-            bands += 1
-            # the antipodal band meets each of its pairs from both ends
-            pairs += n // 2 if 2 * d == n else n
-            dist = self._band(d)
-            if self.want_heatmap:
-                self._update_heatmap(d, dist)
-            dmin = int(dist.min())
-            lhs, rhs = 2 * d * den, num * dmin
-            if lhs < rhs:
-                continue
+        self.bands += 1
+        # the antipodal band meets each of its pairs from both ends
+        self.pairs += n // 2 if 2 * d == n else n
+        dist = self._band(d)
+        if self.want_heatmap:
+            self._update_heatmap(d, dist)
+        dmin = int(dist.min())
+        lhs, rhs = 2 * d * self.den, self.num * dmin
+        if lhs >= rhs:
             if lhs > rhs:
-                num, den = 2 * d, dmin
-                index_pairs.clear()
+                self.num, self.den = 2 * d, dmin
+                self.index_pairs.clear()
             for i in np.nonzero(dist == dmin)[0].tolist():
                 j = (i - d) % n
-                index_pairs.add((min(i, j), max(i, j)))
-        witnesses = frozenset(
-            _ordered_pair(self.knot.vertices[i], self.knot.vertices[j])
-            for i, j in index_pairs
+                self.index_pairs.add((min(i, j), max(i, j)))
+        return dmin
+
+    def _refine(self) -> None:
+        """Evaluate every band whose bound reaches the running maximum.
+
+        The heap holds open intervals (a, b) of unevaluated bands, highest
+        bound first; band 0 is a virtual end with minimum 0.
+        """
+        queue: list[tuple[float, int, int, int, int, int, int, int]] = []
+
+        def push(a: int, ma: int, b: int, mb: int) -> None:
+            if b - a > 1:
+                num, den, d = _interval_bound(a, ma, b, mb)
+                heapq.heappush(queue, (-num / den, a, ma, b, mb, num, den, d))
+
+        h = self.n // 2
+        push(0, 0, h, self._step(h))
+        while queue:
+            _, a, ma, b, mb, num, den, d = heapq.heappop(queue)
+            # the float key orders distinct bounds exactly for n < 10^5 and
+            # only decides the order; the skip test is exact
+            if num * self.den < self.num * den:
+                continue
+            md = self._step(d)
+            push(a, ma, d, md)
+            push(d, md, b, mb)
+
+    def run(self, prune: bool) -> DistortionReport:
+        # the running maximum num/den, compared by cross-multiplication
+        self.num, self.den = 1, 1
+        self.index_pairs: set[tuple[int, int]] = set()
+        self.bands = self.pairs = 0
+        h = self.n // 2
+        if prune:
+            self._refine()
+        else:
+            for d in range(h, 0, -1):
+                self._step(d)
+        verts = self.knot.vertices
+        index_pairs = frozenset(self.index_pairs)
+        witnesses = frozenset(_ordered_pair(verts[i], verts[j]) for i, j in index_pairs)
+        return DistortionReport(
+            Fraction(self.num, self.den), witnesses, self.pairs, self.bands < h, index_pairs
         )
-        return Fraction(num, den), witnesses, pairs, bands < n // 2
 
     def run_euclidean(self) -> Fraction:
         num, den = 0, 1
@@ -177,12 +261,14 @@ class _Sweep:
 def vertex_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
     """Maximum of arc/taxicab over all vertex pairs, with all witnesses.
 
-    With prune=True the outer band loop stops once no remaining band can
-    match the running maximum; the result (value and witness set) is
-    identical to the unpruned run.
+    With prune=True only the bands whose Lipschitz bound reaches the
+    running maximum are evaluated (see the module docstring): the band
+    minimum is 2-Lipschitz in the arc distance d and congruent to 2d
+    mod 4, so two evaluated bands bound every band between them.  Bands
+    are dropped only when their bound is strictly below the maximum, so
+    the value and the witness set are identical to the unpruned run.
     """
-    delta, wit, pairs, cut = _Sweep(knot).run(prune)
-    return DistortionReport(delta, wit, pairs, prune and cut)
+    return _Sweep(knot).run(prune)
 
 
 def vertex_distortion_with_heatmap(
@@ -190,8 +276,7 @@ def vertex_distortion_with_heatmap(
 ) -> tuple[DistortionReport, tuple[HeatmapRow, ...]]:
     """Unpruned sweep that also collects the per-vertex row maxima."""
     sweep = _Sweep(knot, want_heatmap=True)
-    delta, wit, pairs, _ = sweep.run(prune=False)
-    return DistortionReport(delta, wit, pairs, False), sweep.heatmap_rows()
+    return sweep.run(prune=False), sweep.heatmap_rows()
 
 
 def heatmap(knot: LatticeKnot) -> tuple[HeatmapRow, ...]:
@@ -234,15 +319,19 @@ def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRe
 
 
 def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> DistortionReport:
-    """gromov1_distortion, given the complete vertex sweep of the knot."""
-    verts = knot.vertices
+    """gromov1_distortion, given the vertex sweep of the knot.
+
+    Points are arc offsets, vertex i at 2i and the midpoint of edge i at
+    2i + 1; they are located in `coords`, and built as points only for
+    the witnesses.
+    """
+    verts, c = knot.vertices, knot.coords
     n, half = knot.n, knot.n // 2
-    v = knot.coords - knot.coords.min(axis=0)
-    mid = (v + np.roll(v, -1, axis=0)) // 2
-    tax = np.abs(mid[:half] - mid[half:]).sum(axis=1)
-    tmin = int(tax.min())
-    antipodal = Fraction(n, tmin)
-    delta = max(rep.delta, antipodal)
+
+    # differences of coordinate rows are exact: a closed knot spans at most n
+    def position(off: np.ndarray) -> np.ndarray:
+        i = off // 2
+        return c[i] + (c[(off + 1) // 2 % n] - c[i]) // 2
 
     def point(off: int) -> LatticePoint:
         i, odd = divmod(off % (2 * n), 2)
@@ -250,20 +339,32 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
             return verts[i]
         return LatticePoint(*((a + b) // 2 for a, b in zip(verts[i], verts[(i + 1) % n])))
 
+    # twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
+    d = c[:half] - c[half:]
+    tax = np.abs(d + np.concatenate([d[1:], -d[:1]])).sum(axis=1) // 2
+    tmin = int(tax.min())
+    antipodal = Fraction(n, tmin)
+    delta = max(rep.delta, antipodal)
+
     witnesses: set[WitnessPair] = set()
     if antipodal == delta:
         for i in np.nonzero(tax == tmin)[0].tolist():
             witnesses.add(_ordered_pair(point(2 * i + 1), point(2 * i + 1 + n)))
     if rep.delta == delta:
-        offset = {p: 2 * i for i, p in enumerate(verts)}
-        for a, b in rep.witnesses:
-            oa, ob = offset[a], offset[b]
-            for p_off in (oa - 1, oa, oa + 1):
-                for q_off in (ob - 1, ob, ob + 1):
-                    arc = (p_off - q_off) % (2 * n)
-                    p, q = point(p_off), point(q_off)
-                    if arc and Fraction(min(arc, 2 * n - arc), taxicab_doubled(p, q)) == delta:
-                        witnesses.add(_ordered_pair(p, q))
+        # each vertex witness (i, j) against {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}
+        ij = 2 * np.array(list(rep._index_pairs), dtype=np.int64).reshape(-1, 2)
+        near = np.array([-1, 0, 1])
+        p_off, q_off = np.broadcast_arrays(
+            (ij[:, 0, None] + near)[:, :, None] % (2 * n),
+            (ij[:, 1, None] + near)[:, None, :] % (2 * n),
+        )
+        p_off, q_off = p_off.ravel(), q_off.ravel()
+        arc = (p_off - q_off) % (2 * n)
+        arc = np.minimum(arc, 2 * n - arc)
+        tax = np.abs(position(p_off) - position(q_off)).sum(axis=1)
+        hit = (arc > 0) & (arc * delta.denominator == tax * delta.numerator)
+        for p, q in zip(p_off[hit].tolist(), q_off[hit].tolist()):
+            witnesses.add(_ordered_pair(point(p), point(q)))
     return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
 
 

@@ -139,6 +139,16 @@ def _repair_touches(walk: list[tuple[int, int, int]]) -> Optional[list[tuple[int
     return None
 
 
+def torus_sample_bound(p: int, q: int, scale: int) -> int:
+    """Upper bound on the curve points torus_knot(p, q, scale) samples.
+
+    Integer arithmetic only, so a caller can refuse a request before
+    anything is allocated: each scale s tried takes
+    64 * int(2 pi hypot(2p, q) s) points, and 2 pi hypot(2p, q) < 7 (2p + q).
+    """
+    return 64 * 7 * (2 * p + q) * (scale + _TORUS_SCALES_TRIED - 1)
+
+
 def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE) -> LatticeKnot:
     """Lattice conformation of the (p, q) torus knot.
 

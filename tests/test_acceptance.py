@@ -124,15 +124,16 @@ def test_criterion_06_algorithm_fidelity(corpus):
             fast = vertex_distortion(knot, prune=True)
             slow = vertex_distortion(knot, prune=False)
             assert _fingerprint(fast) == _fingerprint(slow), name
-        big = rectangle(1, 4999)  # 10,000 edges
-        start = time.monotonic()
-        fast = vertex_distortion(big, prune=True)
-        elapsed = time.monotonic() - start
-        assert elapsed < 5.0, f"pruned 10k-edge run took {elapsed:.2f}s"
-        slow = vertex_distortion(big, prune=False)
-        assert _fingerprint(fast) == _fingerprint(slow)
-        print(f"  [recorded] pruned 10,000-edge rectangle in {elapsed*1000:.0f} ms, "
-              f"delta={fast.delta}")
+        # 10,000 edges each: a hairpin and a square
+        for big in (rectangle(1, 4999), rectangle(2500, 2500)):
+            start = time.monotonic()
+            fast = vertex_distortion(big, prune=True)
+            elapsed = time.monotonic() - start
+            assert elapsed < 5.0, f"pruned 10k-edge run took {elapsed:.2f}s"
+            slow = vertex_distortion(big, prune=False)
+            assert _fingerprint(fast) == _fingerprint(slow)
+            print(f"  [recorded] pruned 10,000-edge rectangle in {elapsed*1000:.0f} ms, "
+                  f"delta={fast.delta}")
 
 
 def test_criterion_07_known_values():

@@ -178,6 +178,51 @@ class TestScaleGenerate:
         assert "coprime" in err
 
 
+class TestSizeCap:
+    """Requests past cli.MAX_EDGES are refused before anything is built.
+
+    The cap is lowered to 100 here, so no test ever asks for a large knot,
+    and the function that would build the knot is replaced by one that fails.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EDGES", 100)
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a refused request built a knot")
+
+    def assert_refused(self, capsys, monkeypatch, maker, argv):
+        monkeypatch.setattr(cli, maker, self.refuse)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: request too large: it would build more than 100 lattice points\n"
+
+    def test_rectangle(self, capsys, monkeypatch):
+        argv = ["generate", "--kind", "rectangle", "--m", "30", "--n"]
+        code, out, _ = run(capsys, argv + ["20"])
+        assert (code, out) == (0, serialize_vertices(rectangle(30, 20)))
+        self.assert_refused(capsys, monkeypatch, "rectangle", argv + ["21"])
+
+    def test_random_length(self, capsys, monkeypatch):
+        argv = ["generate", "--kind", "random", "--length"]
+        assert run(capsys, argv + ["100"])[0] == 0
+        self.assert_refused(capsys, monkeypatch, "random_polygon", argv + ["102"])
+
+    def test_torus_scale(self, capsys, monkeypatch):
+        # invalid parameters keep their own message
+        code, _, err = run(capsys, ["generate", "--kind", "torus", "--p", "-5", "--scale", "9"])
+        assert code == 1 and err.startswith("error: torus knot parameters")
+        # counted by the curve points it samples, far more than its edges
+        self.assert_refused(capsys, monkeypatch, "torus_knot", ["generate", "--kind", "torus"])
+
+    def test_scale_factor(self, capsys, monkeypatch, square_file):
+        argv = ["scale", str(square_file), "--factor"]
+        assert run(capsys, argv + ["25"])[0] == 0
+        self.assert_refused(capsys, monkeypatch, "scale", argv + ["26"])
+
+
 class TestHeatmapCommand:
     def test_csv_matches_report(self, capsys, rect14_file, tmp_path):
         csv_path = tmp_path / "rows.csv"

@@ -2,13 +2,17 @@
 exactness, doubling behavior, heatmap consistency."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knotdist.engine
 import knotdist.lattice
 from knotdist import (
+    DistortionReport,
     LatticeKnot,
     LatticePoint,
     brute_force_vm_distortion,
@@ -71,12 +75,30 @@ class TestVertexDistortion:
                 assert distortion_ratio(knot, a, b) == rep.delta
 
     def test_pruned_equals_unpruned(self, small_corpus, trefoil):
-        for knot in small_corpus + [trefoil]:
+        knots = small_corpus + [trefoil]
+        knots += [random_polygon(length, seed) for length in range(4, 401, 4) for seed in range(3)]
+        knots += [rectangle(a, b) for a in range(1, 12) for b in range(a, 12)]
+        knots += [torus_knot(2, 3, s) for s in range(2, 6)]
+        knots += [torus_knot(2, 5, 3), torus_knot(3, 4, 3)]
+        knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
+        for knot in knots:
             fast = vertex_distortion(knot, prune=True)
             slow = vertex_distortion(knot, prune=False)
-            assert fast.delta == slow.delta
-            assert fast.witnesses == slow.witnesses
+            assert fast.delta == slow.delta, knot
+            assert fast.witnesses == slow.witnesses, knot
             assert fast.pairs_examined <= slow.pairs_examined
+
+    def test_index_pairs_match_witnesses(self, small_corpus):
+        for knot in small_corpus:
+            for prune in (True, False):
+                rep = vertex_distortion(knot, prune=prune)
+                verts = knot.vertices
+                assert {tuple(sorted((verts[i], verts[j]))) for i, j in rep._index_pairs} == set(
+                    rep.witnesses
+                )
+                # the index pairs take no part in equality, hashing or repr
+                plain = DistortionReport(rep.delta, rep.witnesses, rep.pairs_examined, rep.pruned)
+                assert rep == plain and hash(rep) == hash(plain) and repr(rep) == repr(plain)
 
     def test_isometry_invariance(self, small_corpus):
         from knotdist import lattice_isometries
@@ -123,6 +145,69 @@ class TestVertexDistortion:
             knot = LatticeKnot(tuple(LatticePoint(*p) for p in pts))
             with pytest.raises(ValueError, match="span"):
                 vertex_distortion(knot)
+
+
+def bands_evaluated(knot, rep):
+    # every band has n distinct pairs but the antipodal one, always evaluated
+    return (rep.pairs_examined - knot.n // 2) // knot.n + 1
+
+
+@st.composite
+def evaluated_interval(draw):
+    """Two bands a < b with minima obeying the Lipschitz and parity rules."""
+    a = draw(st.integers(0, 40))
+    b = a + draw(st.integers(2, 60))
+    # band 0 is virtual, with minimum 0; band d has a minimum in [2, 2d], = 2d mod 4
+    ma = 2 * a - 4 * draw(st.integers(0, max(a - 1, 0) // 2)) if a else 0
+    choices = [m for m in range(2, 2 * b + 1, 2)
+               if (m - 2 * b) % 4 == 0 and abs(m - ma) <= 2 * (b - a)]
+    return a, ma, b, draw(st.sampled_from(choices))
+
+
+def lower_bound(a, ma, b, mb, d):
+    return max(ma - 2 * (d - a), mb - 2 * (b - d), 2 if d % 2 else 4)
+
+
+class TestRefinement:
+    @settings(max_examples=500)
+    @given(evaluated_interval())
+    def test_interval_bound_equals_brute_force(self, interval):
+        a, ma, b, mb = interval
+        num, den, arg = knotdist.engine._interval_bound(a, ma, b, mb)
+        want = max(Fraction(2 * d, lower_bound(a, ma, b, mb, d)) for d in range(a + 1, b))
+        assert Fraction(num, den) == want
+        assert a < arg < b
+        assert Fraction(2 * arg, lower_bound(a, ma, b, mb, arg)) == want
+
+    def test_hairpin_two_bands(self):
+        # the antipodal band and band 4999, as the descending cut did
+        rep = vertex_distortion(rectangle(1, 4999))
+        assert rep.delta == 4999
+        assert rep.pairs_examined == 15_000
+        assert rep.pruned
+
+    def test_square_few_bands(self):
+        knot = rectangle(2500, 2500)
+        rep = vertex_distortion(knot)
+        assert rep.delta == 2
+        assert bands_evaluated(knot, rep) <= 30
+
+    def test_torus_few_bands(self):
+        knot = torus_knot(2, 3, 40)
+        assert knot.n // 2 == 968
+        assert bands_evaluated(knot, vertex_distortion(knot)) <= 60
+
+    def test_never_more_bands_than_descending_cut(self, small_corpus):
+        # a descending loop that stops below delta evaluates at least
+        # the bands h, h - 1, ..., ceil(delta)
+        knots = small_corpus + list(exhaustive_small(10))
+        knots += [rectangle(a, b) for a in range(1, 9) for b in range(a, 30, 3)]
+        knots += [random_polygon(length, seed) for length in range(4, 301, 8) for seed in range(2)]
+        knots += [torus_knot(2, 3, s) for s in range(2, 9)] + [torus_knot(3, 4, 4)]
+        for knot in knots:
+            rep = vertex_distortion(knot)
+            assert bands_evaluated(knot, rep) <= knot.n // 2 - math.ceil(rep.delta) + 1, knot
+            assert rep.pruned == (bands_evaluated(knot, rep) < knot.n // 2)
 
 
 class TestBruteForceOracle:

@@ -1,6 +1,8 @@
 """Generators: exact rectangles, torus conformations, seeded polygons,
 exhaustive enumeration."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -17,7 +19,14 @@ from knotdist import (
     validate,
     vertex_distortion,
 )
-from knotdist.generators import canonical_moves, _drop_backtracks, _repair_touches
+from knotdist.generators import (
+    _TORUS_SCALES_TRIED,
+    _drop_backtracks,
+    _repair_touches,
+    _sample_torus,
+    canonical_moves,
+    torus_sample_bound,
+)
 
 
 class TestRectangle:
@@ -79,6 +88,14 @@ class TestTorusKnot:
         monkeypatch.setattr(knotdist.lattice, "validate", counting)
         knot = torus_knot(2, 3, 2)
         assert calls == [knot.n]
+
+    def test_sample_bound(self):
+        for p, q in ((2, 3), (3, 2), (2, 5), (3, 4), (5, 7)):
+            for s in (2, 3, 8):
+                bound = torus_sample_bound(p, q, s)
+                for tried in range(s, s + _TORUS_SCALES_TRIED):
+                    assert 64 * int(2 * math.pi * math.hypot(2 * p, q) * tried) <= bound
+                    assert len(_sample_torus(p, q, tried)) <= bound
 
     def test_doubling_stability(self, trefoil):
         assert (
