@@ -37,6 +37,9 @@ from .report import (
 # Larger requests are refused, by arithmetic on the arguments, before
 # anything is allocated.
 MAX_EDGES = 1_000_000
+# Largest enumerate --max-edges: the enumeration's time grows about 18x
+# per two edges (seconds at 12, days at 20).
+MAX_ENUMERATE_EDGES = 12
 
 
 class UsageError(ValueError):
@@ -130,6 +133,8 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_edges > MAX_ENUMERATE_EDGES:
+        raise UsageError(f"--max-edges is limited to {MAX_ENUMERATE_EDGES}")
     for knot in exhaustive_small(args.max_edges):
         rep = vertex_distortion(knot)
         doc = {

@@ -79,6 +79,23 @@ def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
     return (a, b) if a <= b else (b, a)
 
 
+def _position(c: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Doubled coordinates of the points at doubled arc offsets in [0, 2n).
+
+    Vertex i sits at 2i and the midpoint of edge i at 2i + 1, so offset o
+    is (c[i] + c[i + o % 2]) // 2 with i = o // 2, here c[i] plus half the
+    edge step, which cannot leave int64.
+    """
+    i = off // 2
+    return c[i] + (c[(off + 1) // 2 % len(c)] - c[i]) // 2
+
+
+def _point_pairs(c: np.ndarray, p_off: np.ndarray, q_off: np.ndarray) -> set[WitnessPair]:
+    """The point pairs at doubled arc offsets p_off[k], q_off[k]."""
+    p, q = _position(c, p_off).tolist(), _position(c, q_off).tolist()
+    return {_ordered_pair(LatticePoint(*a), LatticePoint(*b)) for a, b in zip(p, q)}
+
+
 def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
     """Largest band bound 2d / lb(d) over a < d < b, as (num, den, argmax d).
 
@@ -231,9 +248,9 @@ class _Sweep:
         else:
             for d in range(h, 0, -1):
                 self._step(d)
-        verts = self.knot.vertices
         index_pairs = frozenset(self.index_pairs)
-        witnesses = frozenset(_ordered_pair(verts[i], verts[j]) for i, j in index_pairs)
+        ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
+        witnesses = frozenset(_point_pairs(self.knot.coords, ij[:, 0], ij[:, 1]))
         return DistortionReport(
             Fraction(self.num, self.den), witnesses, self.pairs, self.bands < h, index_pairs
         )
@@ -321,24 +338,13 @@ def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRe
 def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> DistortionReport:
     """gromov1_distortion, given the vertex sweep of the knot.
 
-    Points are arc offsets, vertex i at 2i and the midpoint of edge i at
-    2i + 1; they are located in `coords`, and built as points only for
-    the witnesses.
+    Points are arc offsets, located in `coords` by _position and built
+    as points only for the witnesses.
     """
-    verts, c = knot.vertices, knot.coords
+    c = knot.coords
     n, half = knot.n, knot.n // 2
 
-    # differences of coordinate rows are exact: a closed knot spans at most n
-    def position(off: np.ndarray) -> np.ndarray:
-        i = off // 2
-        return c[i] + (c[(off + 1) // 2 % n] - c[i]) // 2
-
-    def point(off: int) -> LatticePoint:
-        i, odd = divmod(off % (2 * n), 2)
-        if not odd:
-            return verts[i]
-        return LatticePoint(*((a + b) // 2 for a, b in zip(verts[i], verts[(i + 1) % n])))
-
+    # coordinate differences are exact: a closed knot spans at most n
     # twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
     d = c[:half] - c[half:]
     tax = np.abs(d + np.concatenate([d[1:], -d[:1]])).sum(axis=1) // 2
@@ -348,8 +354,8 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
 
     witnesses: set[WitnessPair] = set()
     if antipodal == delta:
-        for i in np.nonzero(tax == tmin)[0].tolist():
-            witnesses.add(_ordered_pair(point(2 * i + 1), point(2 * i + 1 + n)))
+        mid = 2 * np.nonzero(tax == tmin)[0] + 1
+        witnesses |= _point_pairs(c, mid, mid + n)
     if rep.delta == delta:
         # each vertex witness (i, j) against {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}
         ij = 2 * np.array(list(rep._index_pairs), dtype=np.int64).reshape(-1, 2)
@@ -361,10 +367,9 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
         p_off, q_off = p_off.ravel(), q_off.ravel()
         arc = (p_off - q_off) % (2 * n)
         arc = np.minimum(arc, 2 * n - arc)
-        tax = np.abs(position(p_off) - position(q_off)).sum(axis=1)
+        tax = np.abs(_position(c, p_off) - _position(c, q_off)).sum(axis=1)
         hit = (arc > 0) & (arc * delta.denominator == tax * delta.numerator)
-        for p, q in zip(p_off[hit].tolist(), q_off[hit].tolist()):
-            witnesses.add(_ordered_pair(point(p), point(q)))
+        witnesses |= _point_pairs(c, p_off[hit], q_off[hit])
     return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
 
 

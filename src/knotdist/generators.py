@@ -186,12 +186,16 @@ def random_polygon(length: int, seed: int) -> LatticeKnot:
     """Seeded closed self-avoiding polygon with exactly `length` edges.
 
     Backtracking search over unit moves, pruned by taxicab reachability
-    and parity.  The PRNG is Python's Mersenne Twister seeded with a
-    string derived from (seed, attempt), so identical arguments yield
-    identical polygons everywhere.
+    and parity; a length the search budget cannot reach is rejected.
+    The PRNG is Python's Mersenne Twister seeded with a string derived
+    from (seed, attempt), so identical arguments yield identical polygons
+    everywhere.
     """
     if length < 4 or length % 2:
         raise ValueError(f"polygon length must be even and >= 4, got {length}")
+    # a walk pushes length - 1 vertices, and each search stops past the budget
+    if length - 1 > _WALK_NODE_BUDGET:
+        raise ValueError(f"polygon length must be at most {_WALK_NODE_BUDGET + 1}, got {length}")
     for attempt in range(_POLYGON_ATTEMPTS):
         rng = random.Random(f"knotdist.random_polygon:{seed}:{attempt}")
         walk = _random_walk(length, rng)

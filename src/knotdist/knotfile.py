@@ -139,11 +139,9 @@ def knot_from_moves(moves: str, line: Optional[int] = None) -> LatticeKnot:
 
 def move_string(knot: LatticeKnot) -> str:
     """Move encoding of the knot's edge sequence (translation is lost)."""
-    out = []
-    for e in knot.edges:
-        step = tuple((e.end[k] - e.start[k]) // 2 for k in range(3))
-        out.append(_MOVE_OF_STEP[step])
-    return "".join(out)
+    c = knot.coords
+    steps = ((np.roll(c, -1, axis=0) - c) // 2).tolist()
+    return "".join([_MOVE_OF_STEP[tuple(step)] for step in steps])
 
 
 def serialize_vertices(knot: LatticeKnot) -> str:

@@ -79,15 +79,6 @@ class Edge(NamedTuple):
     midpoint: LatticePoint
 
 
-class Stick(NamedTuple):
-    """Maximal straight segment of a knot; length in true units."""
-
-    axis: Axis
-    start: LatticePoint
-    end: LatticePoint
-    length: int
-
-
 class Violation(NamedTuple):
     code: str
     where: tuple
@@ -195,25 +186,41 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     return ValidationResult(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeKnot:
     """Ordered cyclic vertex sequence of a lattice knot, doubled coordinates.
 
-    Instances are immutable and hashable; all derived structure (edges,
-    arc offsets) is cached lazily.  Construct through :meth:`from_true`,
-    the generators, or the file parser, which all validate; :func:`scale`
-    and :func:`transform` build their knots directly, without validating,
-    from a knot that is already valid.
+    Its only state is `coords`, the read-only (n, 3) int64 array of the
+    doubled vertices in cyclic order; the points derived from it
+    (`vertices`, `edges`, the lookup tables) are built and cached on first
+    use.  Instances are immutable and hashable, and equal when their
+    arrays are.  LatticeKnot(x) copies a sequence of LatticePoints or an
+    (n, 3) array of doubled coordinates, raising OverflowError outside
+    int64, and checks nothing else: knots come from :meth:`from_true`,
+    the generators or the file parser, which validate, or from
+    :func:`scale` and :func:`transform` applied to a valid knot.
     """
 
-    vertices: tuple[LatticePoint, ...]
+    coords: np.ndarray
+
+    def __post_init__(self) -> None:
+        x = self.coords
+        if isinstance(x, np.ndarray) and x.dtype != np.int64:
+            x = x.tolist()  # casting to int64 would wrap uint64 silently
+        coords = np.array(x, dtype=np.int64)
+        if coords.size and coords.shape[1:] != (3,):
+            raise ValueError(f"expected points of three coordinates, got shape {coords.shape}")
+        coords = coords.reshape(-1, 3)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def from_true(cls, vertices: Union[Iterable[TrueVertex], np.ndarray]) -> "LatticeKnot":
-        """Validate true integer coordinates and build the knot.
+        """Validate true integer coordinates and build the knot from them.
 
-        vertices is an iterable of (x, y, z) or an (n, 3) integer array;
-        the doubled coordinates become the knot's `coords` as well.
+        vertices is an iterable of (x, y, z) or an (n, 3) integer array.
+        Raises InvalidKnotError, listing every violation, when they do not
+        form a lattice knot; a valid knot's doubled coordinates fit in int64.
         """
         if not isinstance(vertices, np.ndarray):
             vertices = list(vertices)
@@ -221,30 +228,27 @@ class LatticeKnot:
         result = validate(a)
         if not result:
             raise InvalidKnotError(result)
-        coords = a * 2
-        # LatticePoint._make per row, without a Python-level call per vertex
-        rows = zip(*coords.T.tolist())
-        knot = cls(tuple(map(tuple.__new__, itertools.repeat(LatticePoint), rows)))
-        coords.flags.writeable = False
-        knot.__dict__["coords"] = coords  # seeds the cached property
-        return knot
+        return cls(a * 2)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LatticeKnot):
+            return NotImplemented
+        return np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        return hash(self.coords.tobytes())
 
     @property
     def n(self) -> int:
         """Number of edges (equals number of vertices)."""
-        return len(self.vertices)
+        return len(self.coords)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """The doubled vertex coordinates as a read-only (n, 3) int64 array.
-
-        Set by from_true from the array it validated; computed from
-        `vertices` on first use for a knot built any other way, raising
-        OverflowError if a coordinate does not fit in 64 bits.
-        """
-        coords = np.array(self.vertices, dtype=np.int64).reshape(self.n, 3)
-        coords.flags.writeable = False
-        return coords
+    def vertices(self) -> tuple[LatticePoint, ...]:
+        """The vertices as points, built from `coords` on first use."""
+        # LatticePoint._make per row, without a Python-level call per vertex
+        rows = zip(*self.coords.T.tolist())
+        return tuple(map(tuple.__new__, itertools.repeat(LatticePoint), rows))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -276,38 +280,15 @@ class LatticeKnot:
         return {e.midpoint: e for e in self.edges}
 
     def true_vertices(self) -> list[TrueVertex]:
-        return [(v.x // 2, v.y // 2, v.z // 2) for v in self.vertices]
+        return list(map(tuple, (self.coords // 2).tolist()))
 
     def __repr__(self) -> str:
-        return f"LatticeKnot(n={self.n}, start={self.vertices[0]!r})"
+        return f"LatticeKnot(n={self.n}, start={LatticePoint(*self.coords[0].tolist())!r})"
 
 
 def midpoints(knot: LatticeKnot) -> tuple[LatticePoint, ...]:
     """Edge midpoints in cyclic order, one per edge."""
     return tuple(e.midpoint for e in knot.edges)
-
-
-def decompose_sticks(knot: LatticeKnot) -> tuple[Stick, ...]:
-    """Partition the knot into maximal straight segments, in cyclic order.
-
-    The first stick reported is the one starting at the first direction
-    change at or after vertex 0, so the decomposition is deterministic.
-    """
-    edges = knot.edges
-    n = len(edges)
-    start = next(i for i in range(n) if edges[i].axis != edges[i - 1].axis)
-    sticks = []
-    i = start
-    while i < start + n:
-        axis = edges[i % n].axis
-        run = 1
-        while run < n and edges[(i + run) % n].axis == axis:
-            run += 1
-        sticks.append(
-            Stick(axis, edges[i % n].start, edges[(i + run - 1) % n].end, run)
-        )
-        i += run
-    return tuple(sticks)
 
 
 def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
@@ -321,20 +302,16 @@ def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
         raise ValueError(f"scale factor must be a positive integer, got {m}")
     if m == 1:
         return knot
-    peak = max(max(abs(c) for c in v) for v in knot.vertices)
-    if peak * m > COORD_LIMIT:
+    c = knot.coords
+    if max(-int(c.min()), int(c.max())) * m > COORD_LIMIT:
         raise OverflowError(
             f"scaling by {m} pushes coordinates past the 64-bit limit"
         )
-    out: list[LatticePoint] = []
-    n = knot.n
-    for i, a in enumerate(knot.vertices):
-        b = knot.vertices[(i + 1) % n]
-        step = tuple(b[k] - a[k] for k in range(3))  # doubled unit step
-        base = tuple(a[k] * m for k in range(3))
-        for t in range(m):
-            out.append(LatticePoint(*(base[k] + t * step[k] for k in range(3))))
-    return LatticeKnot(tuple(out))
+    # vertex t of the run from a to b is a(m - t) + bt: both terms and the
+    # sum lie within m times the largest coordinate, so none can wrap
+    t = np.arange(m)[:, None]
+    ends = np.roll(c, -1, axis=0)
+    return LatticeKnot((c[:, None] * (m - t) + ends[:, None] * t).reshape(-1, 3))
 
 
 class Isometry(NamedTuple):
@@ -362,10 +339,17 @@ def transform(
     iso: Optional[Isometry] = None,
     translate: TrueVertex = (0, 0, 0),
 ) -> LatticeKnot:
-    """Apply a lattice isometry and an integer translation to a knot."""
-    shift = tuple(2 * t for t in translate)
-    vs = []
-    for v in knot.vertices:
-        w = iso.apply(v) if iso is not None else v
-        vs.append(LatticePoint(*(w[k] + shift[k] for k in range(3))))
-    return LatticeKnot(tuple(vs))
+    """Apply a lattice isometry and an integer translation to a knot.
+
+    Raises OverflowError, before any arithmetic, when a coordinate of the
+    result or the doubled translation leaves the 64-bit range.
+    """
+    perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
+    shift = [2 * t for t in translate]
+    lo, hi = knot.coords.min(axis=0).tolist(), knot.coords.max(axis=0).tolist()
+    for k in range(3):
+        a, b = lo[perm[k]], hi[perm[k]]
+        ends = (a, b, signs[k] * a + shift[k], signs[k] * b + shift[k], shift[k])
+        if max(map(abs, ends)) > COORD_LIMIT:
+            raise OverflowError("the transformed knot leaves the 64-bit coordinate range")
+    return LatticeKnot(knot.coords[:, perm] * signs + shift)

@@ -13,10 +13,6 @@ from typing import NamedTuple, Union
 
 from .lattice import LatticeKnot, LatticePoint
 
-# Exact nonnegative rational in canonical form; cross-multiplied total order.
-Ratio = Fraction
-
-
 class NotOnKnotError(ValueError):
     """A queried point is neither a vertex nor a midpoint of the knot."""
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotdist import cli, random_polygon, rectangle, serialize_vertices, torus_knot, transform
+from knotdist import (
+    cli, generators, random_polygon, rectangle, serialize_vertices, torus_knot, transform,
+)
 from knotdist.cli import main
 from knotdist.report import build_report
 
@@ -221,6 +223,26 @@ class TestSizeCap:
         argv = ["scale", str(square_file), "--factor"]
         assert run(capsys, argv + ["25"])[0] == 0
         self.assert_refused(capsys, monkeypatch, "scale", argv + ["26"])
+
+
+class TestEnumerateCap:
+    """enumerate --max-edges past cli.MAX_ENUMERATE_EDGES is refused before
+    anything is enumerated; the cap is lowered to 6 here."""
+
+    def test_refused_above_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_EDGES", 6)
+        assert run(capsys, ["enumerate", "--max-edges", "6"])[0] == 0
+        monkeypatch.setattr(cli, "exhaustive_small", TestSizeCap.refuse)
+        code, out, err = run(capsys, ["enumerate", "--max-edges", "7"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: --max-edges is limited to 6\n"
+
+
+def test_unreachable_random_length_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", 10)
+    code, out, err = run(capsys, ["generate", "--kind", "random", "--length", "12"])
+    assert (code, out) == (1, "")
+    assert err == "error: polygon length must be at most 11, got 12\n"
 
 
 class TestHeatmapCommand:

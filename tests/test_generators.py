@@ -161,6 +161,12 @@ class TestRandomPolygon:
         with pytest.raises(ValueError):
             random_polygon(2, 0)
 
+    def test_unreachable_length_rejected(self, monkeypatch):
+        # a walk of length L pushes L - 1 vertices, so L = 12 needs 11
+        monkeypatch.setattr(knotdist.generators, "_WALK_NODE_BUDGET", 10)
+        with pytest.raises(ValueError, match="at most 11"):
+            random_polygon(12, 0)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**9), length=st.sampled_from([4, 6, 10, 22, 40]))
     def test_even_length_contract(self, seed, length):

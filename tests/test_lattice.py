@@ -1,4 +1,4 @@
-"""Data model: validation, sticks, scaling, midpoints, isometries."""
+"""Data model: validation, the knot contract, scaling, midpoints, isometries."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,20 @@ from knotdist import (
     InvalidKnotError,
     LatticeKnot,
     LatticePoint,
-    decompose_sticks,
-    lattice_isometries,
+    certify_unknot,
     gromov1_distortion,
     heatmap,
+    lattice_isometries,
+    parse_knot,
     midpoints,
     random_polygon,
     rectangle,
     scale,
+    serialize,
+    torus_knot,
     transform,
     validate,
+    vertex_distortion,
 )
 from knotdist.report import build_report
 from conftest import reference_validate
@@ -121,7 +125,6 @@ class TestCoords:
 
     def test_other_knots_compute_coords_on_use(self):
         moved = transform(rectangle(2, 3), translate=(5, -1, 2**40))
-        assert "coords" not in vars(moved)
         assert not moved.coords.flags.writeable
         assert moved.coords.tolist() == [list(v) for v in moved.vertices]
 
@@ -167,27 +170,88 @@ class TestParity:
             assert total == [0, 0, 0]
 
 
-class TestSticks:
-    def test_unit_square_four_unit_sticks(self, unit_square):
-        sticks = decompose_sticks(unit_square)
-        assert len(sticks) == 4
-        assert all(s.length == 1 for s in sticks)
+class TestKnotContract:
+    def test_equal_and_hash_equal_across_constructions(self):
+        isos = lattice_isometries()
+        knot = rectangle(2, 3)
+        rebuilt = [
+            LatticeKnot.from_true(knot.true_vertices()),
+            LatticeKnot.from_true(np.array(knot.true_vertices())),
+            LatticeKnot(knot.vertices),
+            LatticeKnot(np.array(knot.vertices, dtype=np.int32)),
+            scale(knot, 1),
+            transform(transform(knot, translate=(3, -4, 2**40)), translate=(-3, 4, -2**40)),
+        ]
+        for iso in isos:
+            inverse = next(
+                inv for inv in isos
+                if inv.apply(iso.apply(LatticePoint(2, 4, 6))) == LatticePoint(2, 4, 6)
+            )
+            rebuilt.append(transform(transform(knot, iso), inverse))
+        for other in rebuilt:
+            assert other == knot
+            assert hash(other) == hash(knot)
+        assert len(set(rebuilt)) == 1
 
-    def test_rectangle_1x2_lengths(self):
-        lengths = sorted(s.length for s in decompose_sticks(rectangle(1, 2)))
-        assert lengths == [1, 1, 2, 2]
+    def test_rotated_start_is_unequal(self):
+        knot = rectangle(2, 3)
+        vs = knot.true_vertices()
+        rotated = LatticeKnot.from_true(vs[1:] + vs[:1])
+        assert rotated != knot
 
-    def test_sticks_partition_the_knot(self, small_corpus):
-        for knot in small_corpus:
-            sticks = decompose_sticks(knot)
-            assert sum(s.length for s in sticks) == knot.n
+    def test_immutable(self):
+        knot = rectangle(1, 2)
+        with pytest.raises(AttributeError):
+            knot.coords = np.zeros((6, 3), dtype=np.int64)
+        assert not knot.coords.flags.writeable
+        with pytest.raises(ValueError):
+            knot.coords[0, 0] = 7
+        # the constructor copies, so its argument stays the caller's
+        doubled = np.array(knot.coords)
+        copy = LatticeKnot(doubled)
+        doubled[0, 0] = 7
+        assert copy == knot
 
-    def test_sticks_are_maximal(self, small_corpus):
-        for knot in small_corpus:
-            sticks = decompose_sticks(knot)
-            for prev, cur in zip(sticks, sticks[1:] + sticks[:1]):
-                assert prev.axis != cur.axis
-                assert prev.end == cur.start
+    def test_out_of_range_coordinate_raises_at_construction(self):
+        pts = [(2**63, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+        with pytest.raises(OverflowError):
+            LatticeKnot(pts)
+        with pytest.raises(OverflowError):
+            LatticeKnot(np.array(pts, dtype=np.uint64))
+
+    def test_transform_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            transform(rectangle(1, 1), translate=(2**62, 0, 0))
+        far = transform(rectangle(1, 1), translate=(2**62 - 2, 0, 0))
+        with pytest.raises(OverflowError):
+            transform(far, translate=(1, 0, 0))
+        flip = next(iso for iso in lattice_isometries() if iso.signs == (-1, 1, 1))
+        with pytest.raises(OverflowError):
+            transform(LatticeKnot(np.array([[-(2**63), 0, 0]] * 4)), flip)
+
+    def test_transform_and_scale_match_the_points(self, small_corpus):
+        isos = lattice_isometries()
+        for i, knot in enumerate(small_corpus):
+            iso, shift = isos[(5 * i) % 48], (2 * i, -i, 2**40)
+            moved = transform(knot, iso, shift)
+            assert moved.vertices == tuple(
+                LatticePoint(*(c + 2 * t for c, t in zip(iso.apply(v), shift)))
+                for v in knot.vertices
+            )
+            # vertex t of the run from a to b is ma + t(b - a)
+            verts = knot.vertices
+            assert scale(knot, 3).vertices == tuple(
+                LatticePoint(*(3 * p + t * (q - p) for p, q in zip(a, b)))
+                for a, b in zip(verts, verts[1:] + verts[:1])
+                for t in range(3)
+            )
+
+    def test_report_path_builds_no_points(self):
+        knot = parse_knot(serialize(torus_knot(2, 3)))
+        build_report(knot)
+        certify_unknot(vertex_distortion(knot))
+        gromov1_distortion(knot)
+        assert "vertices" not in vars(knot)
 
 
 class TestScale:
