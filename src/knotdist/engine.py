@@ -28,7 +28,8 @@ maximum is small, a few dozen.
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
 pairs can beat the vertex maximum, so it needs one pass over those n/2
-pairs and a check of the neighbours of each vertex witness.
+pairs and a check of the neighbours of each vertex witness.  Its points
+are arc offsets in the convention of the lattice module docstring.
 """
 
 from __future__ import annotations
@@ -79,20 +80,9 @@ def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
     return (a, b) if a <= b else (b, a)
 
 
-def _position(c: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Doubled coordinates of the points at doubled arc offsets in [0, 2n).
-
-    Vertex i sits at 2i and the midpoint of edge i at 2i + 1, so offset o
-    is (c[i] + c[i + o % 2]) // 2 with i = o // 2, here c[i] plus half the
-    edge step, which cannot leave int64.
-    """
-    i = off // 2
-    return c[i] + (c[(off + 1) // 2 % len(c)] - c[i]) // 2
-
-
-def _point_pairs(c: np.ndarray, p_off: np.ndarray, q_off: np.ndarray) -> set[WitnessPair]:
+def _point_pairs(knot: LatticeKnot, p_off: np.ndarray, q_off: np.ndarray) -> set[WitnessPair]:
     """The point pairs at doubled arc offsets p_off[k], q_off[k]."""
-    p, q = _position(c, p_off).tolist(), _position(c, q_off).tolist()
+    p, q = knot.coords_at(p_off).tolist(), knot.coords_at(q_off).tolist()
     return {_ordered_pair(LatticePoint(*a), LatticePoint(*b)) for a, b in zip(p, q)}
 
 
@@ -145,8 +135,10 @@ class _Sweep:
             raise ValueError(
                 "knot coordinates span more than its length; not a closed unit-step polygon"
             )
-        rows = (v - lo).T
-        self.coords = np.concatenate([rows, rows], axis=1)
+        # C order, so the kernel reads each coordinate row contiguously
+        self.coords = np.empty((3, 2 * n), dtype=np.int64)
+        np.subtract(v.T, lo[:, None], out=self.coords[:, :n])
+        self.coords[:, n:] = self.coords[:, :n]
         self.diff = np.empty((3, n), dtype=np.int64)
         # doubled like the coordinates, so the heatmap can read dist[i + d]
         self.dist2 = np.empty(2 * n, dtype=np.int64)
@@ -250,7 +242,7 @@ class _Sweep:
                 self._step(d)
         index_pairs = frozenset(self.index_pairs)
         ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
-        witnesses = frozenset(_point_pairs(self.knot.coords, ij[:, 0], ij[:, 1]))
+        witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
         return DistortionReport(
             Fraction(self.num, self.den), witnesses, self.pairs, self.bands < h, index_pairs
         )
@@ -338,14 +330,15 @@ def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRe
 def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> DistortionReport:
     """gromov1_distortion, given the vertex sweep of the knot.
 
-    Points are arc offsets, located in `coords` by _position and built
-    as points only for the witnesses.
+    Points are arc offsets, located by knot.coords_at and built as points
+    only for the witnesses.
     """
     c = knot.coords
     n, half = knot.n, knot.n // 2
 
     # coordinate differences are exact: a closed knot spans at most n
-    # twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
+    # m_i = coords_at(2i + 1) specialised to antipodal pairs, read off one
+    # difference array: twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
     d = c[:half] - c[half:]
     tax = np.abs(d + np.concatenate([d[1:], -d[:1]])).sum(axis=1) // 2
     tmin = int(tax.min())
@@ -355,7 +348,7 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
     witnesses: set[WitnessPair] = set()
     if antipodal == delta:
         mid = 2 * np.nonzero(tax == tmin)[0] + 1
-        witnesses |= _point_pairs(c, mid, mid + n)
+        witnesses |= _point_pairs(knot, mid, mid + n)
     if rep.delta == delta:
         # each vertex witness (i, j) against {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}
         ij = 2 * np.array(list(rep._index_pairs), dtype=np.int64).reshape(-1, 2)
@@ -367,9 +360,9 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
         p_off, q_off = p_off.ravel(), q_off.ravel()
         arc = (p_off - q_off) % (2 * n)
         arc = np.minimum(arc, 2 * n - arc)
-        tax = np.abs(_position(c, p_off) - _position(c, q_off)).sum(axis=1)
+        tax = np.abs(knot.coords_at(p_off) - knot.coords_at(q_off)).sum(axis=1)
         hit = (arc > 0) & (arc * delta.denominator == tax * delta.numerator)
-        witnesses |= _point_pairs(c, p_off[hit], q_off[hit])
+        witnesses |= _point_pairs(knot, p_off[hit], q_off[hit])
     return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
 
 

@@ -13,9 +13,10 @@ import math
 import random
 from typing import Iterator, Optional
 
+from .knotfile import knot_from_moves
 from .lattice import UNIT_STEPS, InvalidKnotError, LatticeKnot, lattice_isometries
 
-# moves 0..5 are +x,-x,+y,-y,+z,-z
+# moves 0..5 are +x,-x,+y,-y,+z,-z, written XxYyZz in a move string
 _STEPS = UNIT_STEPS
 _OPPOSITE = (1, 0, 3, 2, 5, 4)
 
@@ -267,16 +268,6 @@ def canonical_moves(moves: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def _walk_of_moves(moves: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    pos = (0, 0, 0)
-    out = [pos]
-    for m in moves[:-1]:
-        s = _STEPS[m]
-        pos = (pos[0] + s[0], pos[1] + s[1], pos[2] + s[2])
-        out.append(pos)
-    return out
-
-
 def _enumerate_classes(n: int) -> list[tuple[int, ...]]:
     """Canonical move strings of all length-n polygons up to isometry.
 
@@ -335,4 +326,4 @@ def exhaustive_small(n_max: int) -> Iterator[LatticeKnot]:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
     for n in range(4, n_max + 1, 2):
         for moves in _enumerate_classes(n):
-            yield LatticeKnot.from_true(_walk_of_moves(moves))
+            yield knot_from_moves("".join(map("XxYyZz".__getitem__, moves)))

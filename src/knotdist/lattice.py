@@ -6,6 +6,11 @@ package is stored *doubled* (true coordinate times 2) so that edge
 midpoints are ordinary integers and the whole pipeline stays in exact
 integer arithmetic.  A vertex therefore has three even components and a
 midpoint has exactly one odd component.
+
+Points of a knot are located by their arc offset, in doubled arc units
+(half-edges): vertex i sits at offset 2i and the midpoint of edge i, from
+vertex i to vertex i + 1, at 2i + 1, so the whole cycle is 2n units long.
+LatticeKnot.coords_at is the one place that turns offsets into points.
 """
 
 from __future__ import annotations
@@ -186,6 +191,12 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     return ValidationResult(not violations, tuple(violations))
 
 
+def _points(a: np.ndarray) -> tuple[LatticePoint, ...]:
+    """The rows of an (m, 3) int64 array as points."""
+    # LatticePoint._make per row, without a Python-level call per row
+    return tuple(map(tuple.__new__, itertools.repeat(LatticePoint), zip(*a.T.tolist())))
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeKnot:
     """Ordered cyclic vertex sequence of a lattice knot, doubled coordinates.
@@ -243,41 +254,36 @@ class LatticeKnot:
         """Number of edges (equals number of vertices)."""
         return len(self.coords)
 
+    def coords_at(self, offsets: np.ndarray) -> np.ndarray:
+        """Doubled coordinates of the points at doubled arc offsets in [0, 2n).
+
+        Offset o is (c[i] + c[i + o % 2]) // 2 with i = o // 2, here c[i]
+        plus half the edge step, which cannot leave int64.
+        """
+        c = self.coords
+        i = offsets // 2
+        return c[i] + (c[(offsets + 1) // 2 % len(c)] - c[i]) // 2
+
     @cached_property
     def vertices(self) -> tuple[LatticePoint, ...]:
         """The vertices as points, built from `coords` on first use."""
-        # LatticePoint._make per row, without a Python-level call per vertex
-        rows = zip(*self.coords.T.tolist())
-        return tuple(map(tuple.__new__, itertools.repeat(LatticePoint), rows))
+        return _points(self.coords)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        out = []
-        n = self.n
-        for i, a in enumerate(self.vertices):
-            b = self.vertices[(i + 1) % n]
-            axis = next(ax for ax in Axis if a[ax] != b[ax])
-            mid = LatticePoint(*((a[k] + b[k]) // 2 for k in range(3)))
-            out.append(Edge(i, a, b, axis, mid))
-        return tuple(out)
+        n, vs = self.n, self.vertices
+        # the axis of an edge is the one its step moves along
+        moved = np.roll(self.coords, -1, axis=0) != self.coords
+        axes = map(tuple(Axis).__getitem__, np.argmax(moved, axis=1).tolist())
+        mids = _points(self.coords_at(2 * np.arange(n) + 1))
+        rows = zip(range(n), vs, vs[1:] + vs[:1], axes, mids)
+        return tuple(map(tuple.__new__, itertools.repeat(Edge), rows))
 
     @cached_property
     def offset_table(self) -> dict[LatticePoint, int]:
-        """Point -> arc offset in doubled arc units, over vertices and midpoints.
-
-        Vertices sit at even offsets 2i, the midpoint of edge i at 2i + 1;
-        the full cycle has 2n doubled units (true length n).
-        """
-        table: dict[LatticePoint, int] = {}
-        for i, v in enumerate(self.vertices):
-            table[v] = 2 * i
-        for e in self.edges:
-            table[e.midpoint] = 2 * e.index + 1
-        return table
-
-    @cached_property
-    def edge_of_midpoint(self) -> dict[LatticePoint, Edge]:
-        return {e.midpoint: e for e in self.edges}
+        """Point -> doubled arc offset, over vertices and then midpoints."""
+        offsets = np.concatenate([np.arange(0, 2 * self.n, 2), np.arange(1, 2 * self.n, 2)])
+        return dict(zip(_points(self.coords_at(offsets)), offsets.tolist()))
 
     def true_vertices(self) -> list[TrueVertex]:
         return list(map(tuple, (self.coords // 2).tolist()))

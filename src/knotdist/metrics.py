@@ -3,13 +3,14 @@ distortion ratios built from them.
 
 Every quantity is an exact rational.  The Euclidean comparator is only
 ever handled through its square, which keeps all comparisons decidable
-in integer arithmetic.
+in integer arithmetic.  Arc offsets follow the convention of the
+lattice module docstring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .lattice import LatticeKnot, LatticePoint
 
@@ -18,17 +19,10 @@ class NotOnKnotError(ValueError):
 
 
 class ArcPosition(NamedTuple):
-    """A point of the knot together with its cyclic arc offset.
-
-    Offsets are in doubled arc units (half-edges), in [0, 2n): vertices
-    at even offsets, midpoints at odd offsets.
-    """
+    """A point of the knot together with its doubled arc offset in [0, 2n)."""
 
     point: LatticePoint
     offset: int
-
-
-PointLike = Union[LatticePoint, ArcPosition]
 
 
 def taxicab_doubled(a: LatticePoint, b: LatticePoint) -> int:
@@ -44,54 +38,43 @@ def taxicab_distance(a: LatticePoint, b: LatticePoint) -> Fraction:
     return Fraction(taxicab_doubled(a, b), 2)
 
 
-def arc_position(knot: LatticeKnot, p: PointLike) -> ArcPosition:
+def arc_position(knot: LatticeKnot, p: LatticePoint) -> ArcPosition:
     """Locate a vertex or midpoint on the knot."""
-    if isinstance(p, ArcPosition):
-        return p
     off = knot.offset_table.get(p)
     if off is None:
         raise NotOnKnotError(f"{p!r} is not a vertex or midpoint of this knot")
     return ArcPosition(p, off)
 
 
-def arc_distance_doubled(knot: LatticeKnot, a: PointLike, b: PointLike) -> int:
-    pa = arc_position(knot, a)
-    pb = arc_position(knot, b)
-    diff = abs(pa.offset - pb.offset)
+def arc_distance_doubled(knot: LatticeKnot, a: LatticePoint, b: LatticePoint) -> int:
+    diff = abs(arc_position(knot, a).offset - arc_position(knot, b).offset)
     return min(diff, 2 * knot.n - diff)
 
 
-def arc_distance(knot: LatticeKnot, a: PointLike, b: PointLike) -> Fraction:
+def arc_distance(knot: LatticeKnot, a: LatticePoint, b: LatticePoint) -> Fraction:
     """Shortest path length along the knot, in true units."""
     return Fraction(arc_distance_doubled(knot, a, b), 2)
 
 
-def distortion_ratio(knot: LatticeKnot, a: PointLike, b: PointLike) -> Fraction:
+def distortion_ratio(knot: LatticeKnot, a: LatticePoint, b: LatticePoint) -> Fraction:
     """Arc length over taxicab distance, with value 1 on the diagonal."""
-    pa = arc_position(knot, a)
-    pb = arc_position(knot, b)
-    if pa.point == pb.point:
+    arc = arc_distance_doubled(knot, a, b)
+    if a == b:
         return Fraction(1)
     # doubled units cancel in the quotient
-    return Fraction(
-        arc_distance_doubled(knot, pa, pb), taxicab_doubled(pa.point, pb.point)
-    )
+    return Fraction(arc, taxicab_doubled(a, b))
 
 
-def euclidean_ratio_squared(knot: LatticeKnot, a: PointLike, b: PointLike) -> Fraction:
+def euclidean_ratio_squared(knot: LatticeKnot, a: LatticePoint, b: LatticePoint) -> Fraction:
     """Square of arc length over Euclidean distance between distinct points.
 
     Squaring keeps the value rational; callers compare such squares by
     cross-multiplication.  The diagonal is rejected (the unsquared ratio
     is 1 there by convention, handled by callers).
     """
-    pa = arc_position(knot, a)
-    pb = arc_position(knot, b)
-    if pa.point == pb.point:
+    arc = arc_distance_doubled(knot, a, b)
+    if a == b:
         raise ValueError("euclidean ratio is only defined for distinct points")
     # arc_true^2 = (arc_doubled/2)^2 and d_true^2 = e2_doubled/4, so the
     # factors of 4 cancel exactly.
-    return Fraction(
-        arc_distance_doubled(knot, pa, pb) ** 2,
-        euclidean_sq_doubled(pa.point, pb.point),
-    )
+    return Fraction(arc**2, euclidean_sq_doubled(a, b))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import DistortionReport
-from .lattice import Axis, LatticeKnot, LatticePoint
+from .lattice import Axis, Edge, LatticeKnot, LatticePoint
 from .metrics import (
     NotOnKnotError,
     arc_distance_doubled,
@@ -69,9 +69,15 @@ class Certificate:
     near_threshold: bool = False
 
 
+def _midpoint_edge(knot: LatticeKnot, m: LatticePoint) -> Optional[Edge]:
+    """The edge whose midpoint m is, None for a vertex or a point off the knot."""
+    off = knot.offset_table.get(m)
+    return knot.edges[off // 2] if off is not None and off % 2 else None
+
+
 def neighbors(knot: LatticeKnot, m: LatticePoint) -> tuple[LatticePoint, LatticePoint]:
     """The two endpoints of a midpoint's edge, in knot cyclic order."""
-    edge = knot.edge_of_midpoint.get(m)
+    edge = _midpoint_edge(knot, m)
     if edge is None:
         raise NotOnKnotError(f"{m!r} is not a midpoint of this knot")
     return edge.start, edge.end
@@ -88,8 +94,8 @@ def classify_pair(knot: LatticeKnot, p: LatticePoint, q: LatticePoint) -> Midpoi
     """
     if p == q:
         raise ValueError("midpoint pair classification needs two distinct points")
-    ep = knot.edge_of_midpoint.get(p)
-    eq = knot.edge_of_midpoint.get(q)
+    ep = _midpoint_edge(knot, p)
+    eq = _midpoint_edge(knot, q)
     if ep is None or eq is None:
         raise NotOnKnotError("both points must be midpoints of the knot")
 

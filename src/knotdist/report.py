@@ -125,7 +125,7 @@ def heatmap_csv(rows: Sequence[HeatmapRow]) -> str:
     out = io.StringIO()
     out.write("index,x,y,z,value_num,value_den,value_decimal\n")
     for r in rows:
-        x, y, z = (c // 2 for c in r.vertex)
+        x, y, z = r.vertex.as_true()
         out.write(
             f"{r.index},{x},{y},{z},{r.value.numerator},{r.value.denominator},"
             f"{format_decimal(r.value)}\n"

@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from knotdist import (
+    Axis,
+    Edge,
     KnotFileError,
     LatticeKnot,
     LatticePoint,
@@ -167,6 +169,36 @@ def reference_parse_knot(text):
     result = reference_validate(vertices)
     assert result.ok, result
     return LatticeKnot(tuple(LatticePoint.vertex(*v) for v in vertices))
+
+
+def reference_edges(knot):
+    """The knot's edges, built one vertex at a time as LatticeKnot.edges
+    was before it read whole arrays."""
+    vs = [LatticePoint(*v) for v in knot.coords.tolist()]
+    n = len(vs)
+    out = []
+    for i, a in enumerate(vs):
+        b = vs[(i + 1) % n]
+        axis = next(ax for ax in Axis if a[ax] != b[ax])
+        mid = LatticePoint(*((a[k] + b[k]) // 2 for k in range(3)))
+        out.append(Edge(i, a, b, axis, mid))
+    return tuple(out)
+
+
+def reference_offset_table(knot):
+    """Point -> doubled arc offset, vertices first, then midpoints."""
+    edges = reference_edges(knot)
+    table = {}
+    for e in edges:
+        table[e.start] = 2 * e.index
+    for e in edges:
+        table[e.midpoint] = 2 * e.index + 1
+    return table
+
+
+def reference_edge_of_midpoint(knot):
+    """Midpoint -> its edge, the table LatticeKnot.edge_of_midpoint was."""
+    return {e.midpoint: e for e in reference_edges(knot)}
 
 
 def witness_true_pairs(report):

@@ -364,7 +364,9 @@ FILE_PIECES = ["0", "1", "\u0661", "-", "+", " ", "\t", "\x1f", "\xa0", "\n", "\
 def test_any_file_text_exits_zero_one_or_two(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed.knot"
     path.write_text(text, encoding="utf-8")
-    for command in ("validate", "certify"):
+    for command in (["validate"], ["certify"], ["compute"], ["gromov1"],
+                    ["heatmap", "--csv", "-"], ["scale", "--factor", "2"]):
+        argv = command[:1] + [str(path)] + command[1:]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(path)])
-        assert code in (0, 1, 2), (command, text)
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, text)

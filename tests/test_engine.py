@@ -5,6 +5,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,6 +357,16 @@ class TestBuildReport:
                 digest = hashlib.sha256(text.encode()).hexdigest()[:16]
                 assert digest == REPORT_SHA256[name, flag], text
         assert build_report(unit_square)["gromov1"]["num"] == 2
+
+
+class TestSweepLayout:
+    def test_rows_are_contiguous(self, small_corpus, trefoil):
+        # the band kernel slices each coordinate row, so rows must not be strided
+        for knot in small_corpus + [trefoil]:
+            coords = knotdist.engine._Sweep(knot).coords
+            assert coords.flags.c_contiguous
+            shifted = (knot.coords - knot.coords.min(axis=0)).T
+            assert (coords == np.concatenate([shifted, shifted], axis=1)).all()
 
 
 class TestEuclideanBound:

@@ -11,11 +11,15 @@ import knotdist.knotfile
 from knotdist import (
     InvalidKnotError,
     KnotFileError,
+    knot_from_moves,
+    load_knot,
     move_string,
     parse_knot,
     parse_vertices,
     random_polygon,
     rectangle,
+    save_knot,
+    serialize,
     serialize_moves,
     serialize_vertices,
     transform,
@@ -104,6 +108,19 @@ class TestRoundTrip:
     def test_move_string_alphabet(self, trefoil):
         assert set(move_string(trefoil)) <= set("XxYyZz")
         assert len(move_string(trefoil)) == trefoil.n
+
+    def test_knot_from_moves(self):
+        assert knot_from_moves("XYxy") == rectangle(1, 1)
+
+    def test_save_and_load(self, tmp_path, trefoil):
+        far = transform(trefoil, translate=(2**40, -3, 0))
+        for knot, form in ((far, "vertices"), (rectangle(2, 3), "moves")):
+            save_knot(knot, tmp_path / "k.knot", form)
+            assert load_knot(tmp_path / "k.knot") == knot
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="unknown knot file form 'xml'"):
+            serialize(rectangle(1, 1), "xml")
 
     def test_single_space_serialization(self):
         lines = serialize_vertices(rectangle(1, 1)).splitlines()

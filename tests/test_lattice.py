@@ -26,7 +26,12 @@ from knotdist import (
     vertex_distortion,
 )
 from knotdist.report import build_report
-from conftest import reference_validate
+from conftest import (
+    reference_edge_of_midpoint,
+    reference_edges,
+    reference_offset_table,
+    reference_validate,
+)
 
 UNIT_SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
 
@@ -193,6 +198,23 @@ class TestKnotContract:
             assert hash(other) == hash(knot)
         assert len(set(rebuilt)) == 1
 
+    def test_other_types_are_unequal(self):
+        knot = rectangle(1, 1)
+        assert (knot == 5) is False
+        assert knot != knot.coords.tolist()
+
+    def test_repr(self):
+        assert repr(transform(rectangle(1, 2), translate=(3, 0, -1))) == (
+            "LatticeKnot(n=6, start=LatticePoint(3, 0, -1))"
+        )
+
+    def test_two_coordinate_points_rejected(self):
+        flat = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="three coordinates"):
+            validate(flat)
+        with pytest.raises(ValueError, match="three coordinates"):
+            LatticeKnot(flat)
+
     def test_rotated_start_is_unequal(self):
         knot = rectangle(2, 3)
         vs = knot.true_vertices()
@@ -310,6 +332,29 @@ class TestMidpoints:
                 tuple(c for c in m) for m in midpoints(knot)
             }  # doubled coords of K are true coords of 2K
             assert odd_vertices == images
+
+
+def point_table_knots(small_corpus):
+    knots = list(small_corpus)
+    knots += [random_polygon(n, seed) for n in (4, 10, 36, 120, 400) for seed in range(3)]
+    knots += [torus_knot(2, 3, s) for s in range(2, 6)]
+    return knots + [transform(k, translate=(2**40, -(2**40), 2**40)) for k in knots]
+
+
+class TestPointTables:
+    def test_match_the_per_vertex_builders(self, small_corpus):
+        for knot in point_table_knots(small_corpus):
+            edges = reference_edges(knot)
+            assert knot.edges == edges
+            assert [type(f) for e in knot.edges for f in e] == [type(f) for e in edges for f in e]
+            table = reference_offset_table(knot)
+            assert list(knot.offset_table.items()) == list(table.items())
+            located = knot.coords_at(np.arange(2 * knot.n)).tolist()
+            assert [table[LatticePoint(*p)] for p in located] == list(range(2 * knot.n))
+            assert midpoints(knot) == tuple(e.midpoint for e in edges)
+            assert {
+                m: knot.edges[knot.offset_table[m] // 2] for m in midpoints(knot)
+            } == reference_edge_of_midpoint(knot)
 
 
 class TestIsometries:

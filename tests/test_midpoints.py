@@ -10,6 +10,7 @@ from knotdist import (
     THRESHOLD_HIGH,
     THRESHOLD_LOW,
     LatticePoint,
+    NotOnKnotError,
     certify_unknot,
     classify_pair,
     distortion_ratio,
@@ -52,6 +53,11 @@ class TestNeighbors:
                     knot.vertices[(i + 1) % knot.n],
                 )
 
+    def test_vertex_and_point_off_the_knot_rejected(self, unit_square):
+        for p in (LatticePoint.vertex(0, 0, 0), LatticePoint(1, 0, 2)):
+            with pytest.raises(NotOnKnotError, match="is not a midpoint of this knot"):
+                neighbors(unit_square, p)
+
 
 class TestClassifyPair:
     def test_opposite_vertical_midpoints_non_generic(self, unit_square):
@@ -72,6 +78,12 @@ class TestClassifyPair:
     def test_identical_pair_rejected(self, unit_square):
         with pytest.raises(ValueError):
             classify_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_BOTTOM)
+
+    def test_vertex_and_point_off_the_knot_rejected(self, unit_square):
+        for p in (LatticePoint.vertex(0, 0, 0), LatticePoint(1, 0, 2)):
+            for pair in ((p, SQ_MID_TOP), (SQ_MID_TOP, p)):
+                with pytest.raises(NotOnKnotError, match="^both points must be midpoints"):
+                    classify_pair(unit_square, *pair)
 
     def test_non_generic_neighbor_distance_equalities(self, small_corpus):
         # checked internally by classify_pair's asserts; exercise them broadly
@@ -103,6 +115,11 @@ class TestDominatingVertexPair:
     def test_unit_square_exceptional_pair_has_none(self, unit_square):
         assert dominating_vertex_pair(unit_square, SQ_MID_LEFT, SQ_MID_RIGHT) is None
         assert dominating_vertex_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_TOP) is None
+
+    def test_identical_pair_rejected(self, unit_square):
+        for p in (SQ_MID_BOTTOM, unit_square.vertices[0]):
+            with pytest.raises(ValueError, match="two distinct points"):
+                dominating_vertex_pair(unit_square, p, p)
 
     def test_absence_only_for_antipodal_non_generic_midpoints(self, small_corpus):
         for knot in small_corpus:
