@@ -127,8 +127,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    _, rows = vertex_distortion_with_heatmap(load_knot(args.file))
-    _write(heatmap_csv(rows), args.csv)
+    _, heat = vertex_distortion_with_heatmap(load_knot(args.file))
+    _write(heatmap_csv(heat), args.csv)
     return 0
 
 

@@ -25,6 +25,14 @@ evaluated band other than h has d >= its bound >= the maximum, so at most
 h - ceil(delta) + 1 bands are evaluated; on compact knots, where the
 maximum is small, a few dozen.
 
+The full sweep takes max(1, BLOCK_ELEMENTS // n) contiguous bands per
+kernel call, so that on knots of a few thousand edges the per-call
+overhead of numpy, not the arithmetic, stops setting its time.  The
+kernel runs in int32: shifted coordinates lie in [0, n] and taxicab
+sums stay below 3n, so knots with 3n >= 2^31 are refused.  The heatmap
+picks each row's best band within a block by a float key that orders
+the band ratios exactly (see _Sweep._update_heatmap).
+
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
 pairs can beat the vertex maximum, so it needs one pass over those n/2
@@ -35,16 +43,24 @@ are arc offsets in the convention of the lattice module docstring.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .lattice import LatticeKnot, LatticePoint
 from .metrics import taxicab_doubled
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
+
+# Most edges the int32 band kernel takes: its taxicab sums reach 3n.
+MAX_SWEEP_EDGES = (2**31 - 1) // 3
+# Distances one full-sweep kernel call evaluates: a block of
+# max(1, BLOCK_ELEMENTS // n) contiguous bands.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,44 @@ class HeatmapRow(NamedTuple):
     index: int
     vertex: LatticePoint
     value: Fraction
+
+
+@dataclass(frozen=True, eq=False)
+class Heatmap(Sequence):
+    """Per-vertex row maxima of a knot: row i is num[i] / den[i], in lowest terms.
+
+    num and den are read-only int64 arrays.  As a sequence it yields one
+    HeatmapRow per vertex, built when read.
+    """
+
+    knot: LatticeKnot
+    num: np.ndarray
+    den: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.num.flags.writeable = self.den.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]
+        return HeatmapRow(i, self.knot.vertices[i], Fraction(int(self.num[i]), int(self.den[i])))
+
+    def __iter__(self) -> Iterator[HeatmapRow]:
+        rows = zip(self.knot.vertices, self.num.tolist(), self.den.tolist())
+        return (HeatmapRow(i, v, Fraction(p, q)) for i, (v, p, q) in enumerate(rows))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Heatmap):
+            return NotImplemented
+        return (self.knot == other.knot and np.array_equal(self.num, other.num)
+                and np.array_equal(self.den, other.den))
+
+    def __hash__(self) -> int:
+        return hash((self.knot, self.num.tobytes(), self.den.tobytes()))
 
 
 def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
@@ -119,15 +173,20 @@ class _Sweep:
 
     The coordinates are shifted by their minimum, so on a closed
     unit-step polygon every value lies in [0, n] (doubled units) and
-    taxicab sums, squared Euclidean sums and the cross-multiplied
-    heatmap comparisons stay below 3 n^2, far inside int64.  Each of the
-    three coordinate rows is stored twice, so the band partner
-    i - d (mod n) of index i is the plain slice [n - d, 2n - d).
+    taxicab sums stay below 3n, exact in int32 while 3n < 2^31; squared
+    Euclidean sums and the heatmap's cross-multiplied comparisons reach
+    3 n^2 and are taken in int64.  Each of the three coordinate rows is
+    stored twice, so the band partner i - d (mod n) of index i is the
+    window [n - d, 2n - d) of the doubled rows.
     """
 
     def __init__(self, knot: LatticeKnot, want_heatmap: bool = False):
         self.knot = knot
         n = self.n = knot.n
+        if n > MAX_SWEEP_EDGES:
+            raise ValueError(
+                f"knot has {n} edges; the int32 band kernel takes at most {MAX_SWEEP_EDGES}"
+            )
         v = knot.coords
         lo = v.min(axis=0)
         # Python ints: an unvalidated knot may span more than int64
@@ -136,52 +195,43 @@ class _Sweep:
                 "knot coordinates span more than its length; not a closed unit-step polygon"
             )
         # C order, so the kernel reads each coordinate row contiguously
-        self.coords = np.empty((3, 2 * n), dtype=np.int64)
-        np.subtract(v.T, lo[:, None], out=self.coords[:, :n])
+        self.coords = np.empty((3, 2 * n), dtype=np.int32)
+        self.coords[:, :n] = v.T - lo[:, None]
         self.coords[:, n:] = self.coords[:, :n]
-        self.diff = np.empty((3, n), dtype=np.int64)
-        # doubled like the coordinates, so the heatmap can read dist[i + d]
-        self.dist2 = np.empty(2 * n, dtype=np.int64)
+        # windows[:, k] is coords[:, k : k + n], the partners of band n - k
+        self.windows = sliding_window_view(self.coords, n, axis=1)
+        # one band's buffers; the full sweep replaces them by a block's
+        self.diff = np.empty((3, 1, n), dtype=np.int32)
+        self.dist = np.empty((1, n), dtype=np.int32)
         self.want_heatmap = want_heatmap
         if want_heatmap:
             self.row_num = np.zeros(n, dtype=np.int64)
             self.row_den = np.ones(n, dtype=np.int64)
-            self.cand = np.empty(n, dtype=np.int64)
-            self.lhs = np.empty(n, dtype=np.int64)
-            self.rhs = np.empty(n, dtype=np.int64)
-            self.better = np.empty(n, dtype=bool)
 
-    def _band(self, d: int, square: bool = False) -> np.ndarray:
-        """Per-index taxicab (or squared Euclidean) distance to index i - d.
+    def _bands(self, d0: int, d1: int, square: bool = False) -> np.ndarray:
+        """Per-index taxicab (or squared Euclidean) distances of bands d0 .. d1 - 1.
 
-        The result lives in a buffer that the next band overwrites.
+        Row b of the (d1 - d0, n) result holds the distance of each index
+        i to i - (d0 + b).  A taxicab block lives in a buffer that the next
+        call overwrites.
         """
         n = self.n
-        diff = self.diff
-        np.subtract(self.coords[:, :n], self.coords[:, n - d : 2 * n - d], out=diff)
+        diff = self.diff[:, : d1 - d0]
+        np.subtract(self.coords[:, None, :n], self.windows[:, n - d0 : n - d1 : -1], out=diff)
         if square:
-            np.multiply(diff, diff, out=diff)
+            # squared sums reach 3 n^2, past int32
+            diff = np.square(diff, dtype=np.int64)
+            out = None
         else:
             np.abs(diff, out=diff)
-        return diff.sum(axis=0, out=self.dist2[:n])
-
-    def _update_heatmap(self, d: int, dist: np.ndarray) -> None:
-        # row j meets band d as index j (partner j - d, distance dist[j])
-        # and as partner of j + d (distance dist[j + d]); the nearer one
-        # gives the row's larger band-d ratio
-        n = self.n
-        self.dist2[n:] = dist
-        np.minimum(dist, self.dist2[d : d + n], out=self.cand)
-        np.multiply(self.row_den, 2 * d, out=self.lhs)
-        np.multiply(self.row_num, self.cand, out=self.rhs)
-        np.greater(self.lhs, self.rhs, out=self.better)
-        np.copyto(self.row_num, 2 * d, where=self.better)
-        np.copyto(self.row_den, self.cand, where=self.better)
+            out = self.dist[: d1 - d0, :n]
+        dist = np.add(diff[0], diff[1], out=out)
+        return np.add(dist, diff[2], out=dist)
 
     # -- drivers ------------------------------------------------------------
 
-    def _step(self, d: int) -> int:
-        """Evaluate band d into the running maximum; return the band minimum.
+    def _record(self, d: int, dist: np.ndarray, dmin: int) -> None:
+        """Fold band d, with distances dist and minimum dmin, into the maximum.
 
         A band that beats the maximum replaces the witness index pairs, one
         that ties it adds its own, so bands may be evaluated in any order.
@@ -190,10 +240,6 @@ class _Sweep:
         self.bands += 1
         # the antipodal band meets each of its pairs from both ends
         self.pairs += n // 2 if 2 * d == n else n
-        dist = self._band(d)
-        if self.want_heatmap:
-            self._update_heatmap(d, dist)
-        dmin = int(dist.min())
         lhs, rhs = 2 * d * self.den, self.num * dmin
         if lhs >= rhs:
             if lhs > rhs:
@@ -202,6 +248,12 @@ class _Sweep:
             for i in np.nonzero(dist == dmin)[0].tolist():
                 j = (i - d) % n
                 self.index_pairs.add((min(i, j), max(i, j)))
+
+    def _step(self, d: int) -> int:
+        """Evaluate band d into the running maximum; return the band minimum."""
+        dist = self._bands(d, d + 1)[0]
+        dmin = int(dist.min())
+        self._record(d, dist, dmin)
         return dmin
 
     def _refine(self) -> None:
@@ -229,6 +281,74 @@ class _Sweep:
             push(a, ma, d, md)
             push(d, md, b, mb)
 
+    def _sweep_all(self) -> None:
+        """Evaluate every band, a block of contiguous bands per kernel call.
+
+        Blocks run from the antipodal band down, and so do the bands within
+        a block: on a hairpin, where the ratio grows with d, ascending
+        bands would each beat the last and collect their witnesses anew.
+        """
+        n, h = self.n, self.n // 2
+        width = min(h, max(1, BLOCK_ELEMENTS // n))
+        self.diff = np.empty((3, width, n), dtype=np.int32)
+        # doubled like the coordinates, so the heatmap can read dist[i + d]
+        self.dist = np.empty((width, 2 * n), dtype=np.int32)
+        if self.want_heatmap:
+            self.cand = np.empty((width, n), dtype=np.int32)
+            self.key = np.empty((width, n), dtype=np.float64)
+            # fl(1 / 2d) at index d - 1
+            self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
+            self.band_offsets = np.arange(width, dtype=np.int32)[:, None]
+        for d1 in range(h + 1, 1, -width):
+            d0 = max(1, d1 - width)
+            dist = self._bands(d0, d1)
+            if self.want_heatmap:
+                self._update_heatmap(d0, d1)
+            for b, dmin in reversed(list(enumerate(dist.min(axis=1).tolist()))):
+                self._record(d0 + b, dist[b], dmin)
+
+    def _update_heatmap(self, d0: int, d1: int) -> None:
+        """Fold the block of bands d0 .. d1 - 1 into the per-row maxima.
+
+        Row j meets band d as index j (partner j - d, distance dist_d[j])
+        and as the partner of j + d (distance dist_d[j + d]); the nearer
+        one, c, gives the row's larger band-d ratio 2d / c.  Each row's best
+        band in the block is picked by the least float key c * fl(1 / 2d).
+        The inverse ratios c / 2d lie in (0, 1], as c <= 2d <= n, and two
+        distinct ones differ by at least 1/n^2, while the two roundings move
+        each key by at most 2^-52 (1 + 2^-53).  So for n^2 < 2^51, when two
+        ratios differ the larger has the smaller key, and equal keys mean
+        equal ratios.  Equal ratios may still get keys an ulp apart, which is
+        harmless: every band at the row's least key has the row's largest
+        ratio.  A block has more than one band only for n <= 2^14, and one
+        band needs no order.  The row maxima are then raised by exact int64
+        cross-multiplication.
+        """
+        n, w = self.n, d1 - d0
+        block = self.dist[:w]
+        # forward[b, j] = block[b, j + d0 + b], at flat offset
+        # b * 2n + (d0 + b + j) of the buffer; the column d0 + b + j is at
+        # most d1 + n - 2 < 2n, as d1 <= n/2 + 1, so it stays in row b, where
+        # the columns from n on repeat the first d1 - 1
+        block[:, n : n + d1 - 1] = block[:, : d1 - 1]
+        item = block.itemsize
+        forward = as_strided(
+            self.dist.reshape(-1)[d0:], shape=(w, n), strides=((2 * n + 1) * item, item),
+            writeable=False,
+        )
+        cand = np.minimum(block[:, :n], forward, out=self.cand[:w])
+        key = np.multiply(cand, self.inverse_twice_d[d0 - 1 : d1 - 1, None], out=self.key[:w])
+        # the last band at each row's least key, and its distance, the
+        # largest among the bands at the least key: they share one ratio,
+        # so the larger d has the larger c; an argmax over axis 0 would
+        # copy the block transposed and cost more
+        hit = key == key.min(axis=0)
+        best = np.multiply(hit, self.band_offsets[:w]).max(axis=0)
+        num, den = 2 * (best + d0), np.multiply(hit, cand).max(axis=0)
+        better = num * self.row_den > self.row_num * den
+        np.copyto(self.row_num, num, where=better)
+        np.copyto(self.row_den, den, where=better)
+
     def run(self, prune: bool) -> DistortionReport:
         # the running maximum num/den, compared by cross-multiplication
         self.num, self.den = 1, 1
@@ -238,8 +358,7 @@ class _Sweep:
         if prune:
             self._refine()
         else:
-            for d in range(h, 0, -1):
-                self._step(d)
+            self._sweep_all()
         index_pairs = frozenset(self.index_pairs)
         ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
         witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
@@ -253,18 +372,10 @@ class _Sweep:
             # doubled squared distances are >= 4, so band d gives at most d^2
             if num >= d * d * den:
                 break
-            e2 = int(self._band(d, square=True).min())
+            e2 = int(self._bands(d, d + 1, square=True).min())
             if 4 * d * d * den > num * e2:
                 num, den = 4 * d * d, e2
         return Fraction(num, den)
-
-    def heatmap_rows(self) -> tuple[HeatmapRow, ...]:
-        return tuple(
-            HeatmapRow(i, v, Fraction(num, den))
-            for i, (v, num, den) in enumerate(
-                zip(self.knot.vertices, self.row_num.tolist(), self.row_den.tolist())
-            )
-        )
 
 
 def vertex_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
@@ -280,15 +391,15 @@ def vertex_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRep
     return _Sweep(knot).run(prune)
 
 
-def vertex_distortion_with_heatmap(
-    knot: LatticeKnot,
-) -> tuple[DistortionReport, tuple[HeatmapRow, ...]]:
+def vertex_distortion_with_heatmap(knot: LatticeKnot) -> tuple[DistortionReport, Heatmap]:
     """Unpruned sweep that also collects the per-vertex row maxima."""
     sweep = _Sweep(knot, want_heatmap=True)
-    return sweep.run(prune=False), sweep.heatmap_rows()
+    rep = sweep.run(prune=False)
+    g = np.gcd(sweep.row_num, sweep.row_den)
+    return rep, Heatmap(knot, sweep.row_num // g, sweep.row_den // g)
 
 
-def heatmap(knot: LatticeKnot) -> tuple[HeatmapRow, ...]:
+def heatmap(knot: LatticeKnot) -> Heatmap:
     """For each vertex, the maximum ratio against every other vertex."""
     return vertex_distortion_with_heatmap(knot)[1]
 
@@ -327,28 +438,35 @@ def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRe
     return _gromov1_from_vertex_report(knot, vertex_distortion(knot, prune=prune))
 
 
+def _gromov1_delta(knot: LatticeKnot, vertex_delta: Fraction) -> tuple[Fraction, np.ndarray]:
+    """The curve-wide maximum, given the vertex maximum of the knot.
+
+    It is the larger of vertex_delta and the best antipodal midpoint pair
+    (see gromov1_distortion).  Also returns the doubled taxicab distance
+    of each antipodal midpoint pair (m_i, m_(i+h)), i < h = n/2.
+    """
+    c = knot.coords
+    half = knot.n // 2
+    # coordinate differences are exact: a closed knot spans at most n
+    # m_i = coords_at(2i + 1) specialised to antipodal pairs, read off one
+    # difference array: twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
+    d = c[:half] - c[half:]
+    tax = np.abs(d + np.concatenate([d[1:], -d[:1]])).sum(axis=1) // 2
+    return max(vertex_delta, Fraction(knot.n, int(tax.min()))), tax
+
+
 def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> DistortionReport:
     """gromov1_distortion, given the vertex sweep of the knot.
 
     Points are arc offsets, located by knot.coords_at and built as points
     only for the witnesses.
     """
-    c = knot.coords
     n, half = knot.n, knot.n // 2
+    delta, tax = _gromov1_delta(knot, rep.delta)
 
-    # coordinate differences are exact: a closed knot spans at most n
-    # m_i = coords_at(2i + 1) specialised to antipodal pairs, read off one
-    # difference array: twice m_i - m_(i+h) is (v_i - v_(i+h)) + (v_(i+1) - v_(i+1+h))
-    d = c[:half] - c[half:]
-    tax = np.abs(d + np.concatenate([d[1:], -d[:1]])).sum(axis=1) // 2
-    tmin = int(tax.min())
-    antipodal = Fraction(n, tmin)
-    delta = max(rep.delta, antipodal)
-
-    witnesses: set[WitnessPair] = set()
-    if antipodal == delta:
-        mid = 2 * np.nonzero(tax == tmin)[0] + 1
-        witnesses |= _point_pairs(knot, mid, mid + n)
+    # the antipodal midpoint pairs at the maximum: doubled arc n over tax
+    mid = 2 * np.nonzero(n * delta.denominator == tax * delta.numerator)[0] + 1
+    witnesses = _point_pairs(knot, mid, mid + n)
     if rep.delta == delta:
         # each vertex witness (i, j) against {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}
         ij = 2 * np.array(list(rep._index_pairs), dtype=np.int64).reshape(-1, 2)

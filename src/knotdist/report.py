@@ -7,15 +7,16 @@ half to even.
 
 from __future__ import annotations
 
-import io
 import json
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Sequence
+
+import numpy as np
 
 from .engine import (
     DistortionReport,
-    HeatmapRow,
-    _gromov1_from_vertex_report,
+    Heatmap,
+    _gromov1_delta,
     gromov1_distortion,
     vertex_distortion,
     vertex_distortion_with_heatmap,
@@ -48,16 +49,24 @@ def witness_docs(report: DistortionReport) -> list:
     return [[a, b] for a, b in pairs]
 
 
-def heatmap_docs(rows: Sequence[HeatmapRow]) -> list:
+def _heatmap_columns(heat: Heatmap) -> Iterator[tuple[int, list, int, int, str]]:
+    """Per row: index, true vertex, num, den and the format_decimal string.
+
+    The decimals are format_decimal done on the arrays: rows are in
+    lowest terms with num <= n, so num * 10^6 stays inside int64.
+    """
+    scaled, rem = np.divmod(heat.num * 10**6, heat.den)
+    scaled += (2 * rem > heat.den) | ((2 * rem == heat.den) & (scaled % 2 == 1))
+    whole, frac = np.divmod(scaled, 10**6)
+    decimals = [f"{w}.{f:06d}" for w, f in zip(whole.tolist(), frac.tolist())]
+    vertices = (heat.knot.coords // 2).tolist()
+    return zip(range(len(heat)), vertices, heat.num.tolist(), heat.den.tolist(), decimals)
+
+
+def heatmap_docs(heat: Heatmap) -> list:
     return [
-        {
-            "index": r.index,
-            "vertex": r.vertex.as_true(),
-            "num": r.value.numerator,
-            "den": r.value.denominator,
-            "decimal": format_decimal(r.value),
-        }
-        for r in rows
+        {"index": i, "vertex": v, "num": p, "den": q, "decimal": s}
+        for i, v, p, q, s in _heatmap_columns(heat)
     ]
 
 
@@ -86,21 +95,20 @@ def build_report(
     serves the distortion, the curve-wide maximum and the heatmap.
     """
     if with_heatmap:
-        rep, rows = vertex_distortion_with_heatmap(knot)
+        rep, heat = vertex_distortion_with_heatmap(knot)
     else:
         rep = vertex_distortion(knot, prune=prune)
-        rows = None
-    g1 = _gromov1_from_vertex_report(knot, rep)
+        heat = None
     doc = {
         "schema": SCHEMA,
         "n_edges": knot.n,
         "delta": ratio_doc(rep.delta),
         "witnesses": witness_docs(rep),
-        "gromov1": ratio_doc(g1.delta),
+        "gromov1": ratio_doc(_gromov1_delta(knot, rep.delta)[0]),
         "certificate": certificate_doc(rep),
     }
-    if rows is not None:
-        doc["heatmap"] = heatmap_docs(rows)
+    if heat is not None:
+        doc["heatmap"] = heatmap_docs(heat)
     return doc
 
 
@@ -121,13 +129,8 @@ def render_json(doc: dict, pretty: bool = False) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def heatmap_csv(rows: Sequence[HeatmapRow]) -> str:
-    out = io.StringIO()
-    out.write("index,x,y,z,value_num,value_den,value_decimal\n")
-    for r in rows:
-        x, y, z = r.vertex.as_true()
-        out.write(
-            f"{r.index},{x},{y},{z},{r.value.numerator},{r.value.denominator},"
-            f"{format_decimal(r.value)}\n"
-        )
-    return out.getvalue()
+def heatmap_csv(heat: Heatmap) -> str:
+    rows = (
+        f"{i},{x},{y},{z},{p},{q},{s}\n" for i, (x, y, z), p, q, s in _heatmap_columns(heat)
+    )
+    return "index,x,y,z,value_num,value_den,value_decimal\n" + "".join(rows)

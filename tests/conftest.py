@@ -8,6 +8,7 @@ banded engine they are used to check.
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from knotdist import (
@@ -199,6 +200,49 @@ def reference_offset_table(knot):
 def reference_edge_of_midpoint(knot):
     """Midpoint -> its edge, the table LatticeKnot.edge_of_midpoint was."""
     return {e.midpoint: e for e in reference_edges(knot)}
+
+
+def reference_row_maxima(knot):
+    """Brute-force heatmap: each vertex's maximum arc/taxicab ratio.
+
+    All pairs at once; each row's float argmax is then checked exactly,
+    by cross-multiplication against every other pair of the row.
+    """
+    n = knot.n
+    true = knot.coords // 2
+    idx = np.arange(n)
+    arc = np.abs(idx[:, None] - idx[None, :])
+    arc = np.minimum(arc, n - arc)
+    tax = np.abs(true[:, None, :] - true[None, :, :]).sum(axis=2)
+    np.fill_diagonal(tax, 1)  # arc 0: the diagonal never wins
+    out = []
+    for a, t in zip(arc, tax):
+        j = int(np.argmax(a / t))
+        assert not (a * t[j] > a[j] * t).any()
+        out.append(Fraction(int(a[j]), int(t[j])))
+    return out
+
+
+def reference_heatmap_rows(knot):
+    """Heatmap row values from the per-band int64 sweep.
+
+    The heatmap as the engine computed it before it evaluated blocks of
+    bands: one band at a time, from the antipodal band down, each row's
+    nearer band-d distance compared with its running maximum by exact
+    cross-multiplication.
+    """
+    n = knot.n
+    rows = (knot.coords - knot.coords.min(axis=0)).T
+    coords = np.concatenate([rows, rows], axis=1)
+    row_num = np.zeros(n, dtype=np.int64)
+    row_den = np.ones(n, dtype=np.int64)
+    for d in range(n // 2, 0, -1):
+        dist = np.abs(coords[:, :n] - coords[:, n - d : 2 * n - d]).sum(axis=0)
+        cand = np.minimum(dist, np.concatenate([dist, dist])[d : d + n])
+        better = 2 * d * row_den > row_num * cand
+        row_num[better] = 2 * d
+        row_den[better] = cand[better]
+    return [Fraction(p, q) for p, q in zip(row_num.tolist(), row_den.tolist())]
 
 
 def witness_true_pairs(report):

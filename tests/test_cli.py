@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotdist import (
-    cli, generators, random_polygon, rectangle, serialize_vertices, torus_knot, transform,
+    cli, engine, generators, random_polygon, rectangle, serialize_vertices, torus_knot, transform,
 )
 from knotdist.cli import main
 from knotdist.report import build_report
@@ -236,6 +236,18 @@ class TestEnumerateCap:
         code, out, err = run(capsys, ["enumerate", "--max-edges", "7"])
         assert (code, out) == (1, "")
         assert err == "usage error: --max-edges is limited to 6\n"
+
+
+def test_knot_past_the_int32_kernel_exits_one(capsys, monkeypatch, rect14_file):
+    # the bound is lowered, so no test builds a knot of 7 * 10^8 edges
+    monkeypatch.setattr(engine, "MAX_SWEEP_EDGES", 9)
+    for argv in (["compute", str(rect14_file)], ["compute", "--with-heatmap", str(rect14_file)],
+                 ["certify", str(rect14_file)], ["heatmap", str(rect14_file), "--csv", "-"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: knot has 10 edges; the int32 band kernel takes at most 9\n"
+    monkeypatch.setattr(engine, "MAX_SWEEP_EDGES", 10)
+    assert run(capsys, ["compute", str(rect14_file)])[0] == 0
 
 
 def test_unreachable_random_length_exits_one(capsys, monkeypatch):

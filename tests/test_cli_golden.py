@@ -40,6 +40,7 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 RECORDED_ON = (3, 11)
 
 GOOD = ("square.knot", "rect23.knot", "trefoil.knot", "random.knot", "far.knot", "moves.knot")
+LONG = ("torus388.knot", "rect1x99.knot", "random600.knot")
 BAD = ("syntax.knot", "embedded.knot", "open.knot", "range.knot", "empty.knot",
        "nomoves.knot", "missing.knot")
 
@@ -55,6 +56,10 @@ def write_files(root: Path) -> None:
             transform(trefoil, lattice_isometries()[13], (2**30, -(2**30), 2**30 + 1))
         ),
         "moves.knot": serialize_moves(rectangle(1, 2)),
+        # band counts (194, 100, 300) that do not divide into whole sweep blocks
+        "torus388.knot": serialize_vertices(torus_knot(2, 3, 8)),
+        "rect1x99.knot": serialize_vertices(rectangle(1, 99)),
+        "random600.knot": serialize_vertices(random_polygon(600, 0)),
         "huge.knot": serialize_vertices(transform(rectangle(1, 1), translate=(3 * 2**60, 0, 0))),
         "syntax.knot": "latticeknot v1\n0 0\n",
         "embedded.knot": "latticeknot v1\n0 0 0\n1 0 0\n0 0 0\n0 1 0\n",
@@ -85,6 +90,9 @@ def cases() -> list[list[str]]:
             ["scale", f, "--factor", "3", "--form", "moves"],
             ["scale", f, "--factor", "1", "--form", "vertices"],
         ]
+    for f in LONG:
+        out += [["compute", "--with-heatmap", f], ["compute", "--no-prune", f],
+                ["heatmap", f, "--csv", "-"]]
     out += [
         ["scale", "square.knot", "--factor", "2", "-o", "out.knot"],
         ["scale", "square.knot", "--factor", "2", "--output", "out.knot", "--form", "moves"],

@@ -1,6 +1,7 @@
 """Engine results against the independent reference oracle, pruning
 exactness, doubling behavior, heatmap consistency."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -29,9 +30,11 @@ from knotdist import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
-from knotdist.report import build_report, render_json
+from knotdist.report import build_report, format_decimal, heatmap_csv, heatmap_docs, render_json
 from conftest import (
     reference_euclidean_bound,
+    reference_heatmap_rows,
+    reference_row_maxima,
     reference_vertex_distortion,
     witness_true_pairs,
 )
@@ -140,7 +143,7 @@ class TestVertexDistortion:
             assert back_pairs(g_got.witnesses) == g_want.witnesses
 
     def test_unvalidated_spread_rejected(self):
-        # the int64 kernel relies on coordinates spanning at most n
+        # the int32 kernel relies on coordinates spanning at most n
         for far in (6, -2**62):
             pts = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, far, 0)]
             knot = LatticeKnot(tuple(LatticePoint(*p) for p in pts))
@@ -358,8 +361,65 @@ class TestBuildReport:
                 assert digest == REPORT_SHA256[name, flag], text
         assert build_report(unit_square)["gromov1"]["num"] == 2
 
+    def test_gromov1_without_the_witness_pass(self, monkeypatch, small_corpus, trefoil):
+        # the report prints only the curve-wide delta, so it skips the witnesses
+        knots = small_corpus + [trefoil, torus_knot(2, 3, 3), rectangle(1, 9)]
+        want = [gromov1_distortion(k).delta for k in knots]
+
+        def refuse(*args):
+            raise AssertionError("build_report ran the curve-wide witness pass")
+
+        monkeypatch.setattr(knotdist.engine, "_gromov1_from_vertex_report", refuse)
+        for knot, delta in zip(knots, want):
+            for flags in ({}, {"prune": False}, {"with_heatmap": True}):
+                g1 = build_report(knot, **flags)["gromov1"]
+                assert Fraction(g1["num"], g1["den"]) == delta, (knot, flags)
+
+    def test_heatmap_rendering_matches_per_row_formatting(self):
+        # rows with exact halves at the seventh decimal place round to even
+        knot = rectangle(3, 37)
+        n = knot.n
+        rng = np.random.default_rng(5)
+        num = rng.integers(1, 10**4, n)
+        den = rng.integers(1, 10**4, n)
+        num[:6], den[:6] = [1, 3, 129, 1, 7, 5], [128, 128, 128, 640, 640, 2]
+        g = np.gcd(num, den)
+        heat = knotdist.engine.Heatmap(knot, num // g, den // g)
+        docs = heatmap_docs(heat)
+        csv_rows = heatmap_csv(heat).splitlines()
+        assert csv_rows[0] == "index,x,y,z,value_num,value_den,value_decimal"
+        assert len(docs) == len(csv_rows) - 1 == n
+        for r, doc, line in zip(heat, docs, csv_rows[1:]):
+            want = format_decimal(r.value)
+            assert doc == {"index": r.index, "vertex": list(r.vertex.as_true()),
+                           "num": r.value.numerator, "den": r.value.denominator,
+                           "decimal": want}
+            x, y, z = r.vertex.as_true()
+            assert line == f"{r.index},{x},{y},{z},{r.value.numerator},{r.value.denominator},{want}"
+        assert [d["decimal"] for d in docs[:6]] == [
+            "0.007812", "0.023438", "1.007812", "0.001562", "0.010938", "2.500000"]
+
 
 class TestSweepLayout:
+    def test_int32_bound(self, monkeypatch):
+        # 3n < 2^31 keeps the int32 taxicab sums exact
+        limit = knotdist.engine.MAX_SWEEP_EDGES
+        assert 3 * limit < 2**31 <= 3 * (limit + 1)
+        knot = rectangle(3, 3)
+        monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n - 1)
+        for run in (vertex_distortion, heatmap, gromov1_distortion, euclidean_vertex_lower_bound,
+                    lambda k: vertex_distortion(k, prune=False)):
+            with pytest.raises(ValueError, match="int32 band kernel takes at most 11"):
+                run(knot)
+        monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n)
+        assert vertex_distortion(knot).delta == Fraction(5, 3)
+
+    def test_pruned_run_allocates_one_band(self):
+        knot = rectangle(20, 20)
+        sweep = knotdist.engine._Sweep(knot)
+        sweep.run(prune=True)
+        assert sweep.diff.shape == (3, 1, knot.n) and sweep.dist.shape == (1, knot.n)
+
     def test_rows_are_contiguous(self, small_corpus, trefoil):
         # the band kernel slices each coordinate row, so rows must not be strided
         for knot in small_corpus + [trefoil]:
@@ -404,6 +464,25 @@ class TestHeatmap:
         peak = {r.vertex.as_true(): r.value for r in rows}
         assert peak[(2, 0, 0)] == 5
 
+    def test_record(self, trefoil):
+        rep, heat = vertex_distortion_with_heatmap(trefoil)
+        rows = tuple(heat)
+        assert len(heat) == len(rows) == trefoil.n
+        assert (heat[0], heat[-1], heat[3:7]) == (rows[0], rows[-1], rows[3:7])
+        with pytest.raises(IndexError):
+            heat[trefoil.n]
+        assert [(r.index, r.vertex) for r in rows] == list(enumerate(trefoil.vertices))
+        assert all(type(r.index) is int for r in rows)
+        assert [r.value for r in rows] == [Fraction(p, q) for p, q in zip(heat.num, heat.den)]
+        assert heat.num.dtype == heat.den.dtype == np.int64
+        assert (np.gcd(heat.num, heat.den) == 1).all()
+        assert not heat.num.flags.writeable and not heat.den.flags.writeable
+        again = heatmap(trefoil)
+        assert heat == again and hash(heat) == hash(again)
+        assert heat != heatmap(rectangle(1, 1)) and heat != rows
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            heat.num = heat.den
+
     def test_rows_match_bruteforce_rowmax(self, small_corpus):
         from knotdist import distortion_ratio
 
@@ -416,3 +495,97 @@ class TestHeatmap:
                     if w != r.vertex
                 )
                 assert r.value == want
+
+
+def block_knots(small_corpus):
+    knots = list(small_corpus)
+    knots += [random_polygon(n, seed) for n in (4, 10, 36, 120, 400) for seed in range(3)]
+    knots += [torus_knot(2, 3, s) for s in range(2, 6)]
+    return knots + [rectangle(1, k) for k in (1, 2, 9, 50, 99)]
+
+
+def block_widths(knot):
+    """Widths 1 to 5, one that leaves a short last block, and the default."""
+    return (1, 2, 3, 4, 5, knot.n // 4 + 1, None)
+
+
+def sweep_blocks(monkeypatch, knot, width, run):
+    """run(knot) with blocks of the given width; also returns the blocks."""
+    blocks = []
+    real = knotdist.engine._Sweep._bands
+
+    def spy(self, d0, d1, square=False):
+        blocks.append((d0, d1))
+        return real(self, d0, d1, square)
+
+    with monkeypatch.context() as m:
+        if width is not None:
+            m.setattr(knotdist.engine, "BLOCK_ELEMENTS", width * knot.n)
+        m.setattr(knotdist.engine._Sweep, "_bands", spy)
+        return run(knot), blocks
+
+
+class TestBlockedSweep:
+    def test_blocks_cover_every_band_descending(self, monkeypatch):
+        knot = random_polygon(120, 1)
+        for width, want in ((1, 60), (2, 30), (7, 9), (31, 2), (60, 1), (500, 1)):
+            _, blocks = sweep_blocks(monkeypatch, knot, width,
+                                     lambda k: vertex_distortion(k, prune=False))
+            # bands 60 .. 1 in contiguous blocks from the top; only the last is short
+            assert len(blocks) == want
+            assert blocks[0][1] == 61 and blocks[-1][0] == 1
+            assert all(a[0] == b[1] for a, b in zip(blocks, blocks[1:]))
+            widths = [d1 - d0 for d0, d1 in blocks]
+            assert set(widths[:-1]) <= {min(width, 60)} and widths[-1] <= min(width, 60)
+        _, blocks = sweep_blocks(monkeypatch, knot, None, vertex_distortion)
+        assert all(d1 == d0 + 1 for d0, d1 in blocks)
+
+    def test_heatmap_rows_across_block_boundaries(self, monkeypatch, small_corpus):
+        for knot in block_knots(small_corpus):
+            brute = reference_row_maxima(knot)
+            assert reference_heatmap_rows(knot) == brute, knot
+            full = vertex_distortion(knot, prune=False)
+            for width in block_widths(knot):
+                (rep, heat), _ = sweep_blocks(monkeypatch, knot, width,
+                                              vertex_distortion_with_heatmap)
+                assert [r.value for r in heat] == brute, (knot, width)
+                assert rep == full, (knot, width)
+
+    def test_sweeps_agree_across_block_boundaries(self, monkeypatch, small_corpus):
+        for knot in block_knots(small_corpus):
+            brute = brute_force_vm_distortion(knot, vertices_only=True)
+            pruned = vertex_distortion(knot)
+            assert (pruned.delta, pruned.witnesses) == (brute.delta, brute.witnesses), knot
+            for width in block_widths(knot):
+                full, _ = sweep_blocks(monkeypatch, knot, width,
+                                       lambda k: vertex_distortion(k, prune=False))
+                assert full.delta == brute.delta, (knot, width)
+                assert full.witnesses == brute.witnesses, (knot, width)
+                assert full.pairs_examined == brute.pairs_examined, (knot, width)
+                assert full._index_pairs == pruned._index_pairs, (knot, width)
+
+
+@st.composite
+def inverse_ratio_pairs(draw):
+    """Two inverse ratios c / 2d with c <= 2d <= 2^14, often nearly equal."""
+    d1 = draw(st.integers(1, 2**13))
+    c1 = draw(st.integers(1, 2 * d1))
+    if draw(st.booleans()):
+        d2 = draw(st.integers(1, 2**13))
+    else:
+        d2 = min(2**13, max(1, d1 + draw(st.integers(-3, 3))))
+    c2 = min(2 * d2, max(1, c1 * d2 // d1 + draw(st.integers(-1, 1))))
+    return c1, d1, c2, d2
+
+
+@settings(max_examples=2000)
+@given(inverse_ratio_pairs())
+def test_heatmap_key_orders_ratios_exactly(pair):
+    # the heatmap's key c * fl(1 / 2d) for band d at distance c, as the engine forms it
+    c1, d1, c2, d2 = pair
+    inverse = 0.5 / np.array([d1, d2])
+    k1, k2 = c1 * inverse[0], c2 * inverse[1]
+    if c1 * d2 < c2 * d1:
+        assert k1 < k2
+    if k1 == k2:
+        assert c1 * d2 == c2 * d1

@@ -2,10 +2,12 @@
 
 import argparse
 import ast
+import collections
+import json
 from pathlib import Path
 
 import knotdist
-from knotdist import cli
+from knotdist import LatticePoint, cli, random_polygon, report, serialize_vertices
 from test_cli_golden import cases
 
 PACKAGE = Path(knotdist.__file__).resolve().parent
@@ -40,3 +42,29 @@ def test_every_cli_option_has_a_golden_case():
     ]
     assert subcommands.choices
     assert missing == []
+
+
+def test_heatmap_output_builds_nothing_per_row(monkeypatch, capsys, tmp_path):
+    # heatmap rows are rendered from the num/den arrays; a Fraction, decimal
+    # or point built per row would cost more than the sweep itself
+    path = tmp_path / "random400.knot"
+    path.write_text(serialize_vertices(random_polygon(400, 0)), encoding="utf-8")
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(report, "format_decimal", counted("format_decimal", report.format_decimal))
+    monkeypatch.setattr(LatticePoint, "as_true", counted("as_true", LatticePoint.as_true))
+    assert cli.main(["compute", "--with-heatmap", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["heatmap"]) == 400
+    # delta and gromov1, and the two points of each witness
+    assert calls == {"format_decimal": 2, "as_true": 2 * len(doc["witnesses"])}
+    calls.clear()
+    assert cli.main(["heatmap", str(path), "--csv", "-"]) == 0
+    assert capsys.readouterr().out.count("\n") == 401
+    assert calls == {}
