@@ -69,23 +69,19 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    doc = build_report(
-        load_knot(args.file),
-        prune=not args.no_prune,
-        with_heatmap=args.with_heatmap,
-    )
+    doc = build_report(load_knot(args.file), with_heatmap=args.with_heatmap)
     sys.stdout.write(render_json(doc, pretty=args.pretty))
     return 0
 
 
 def _cmd_gromov1(args) -> int:
-    doc = build_gromov1_report(load_knot(args.file), prune=not args.no_prune)
+    doc = build_gromov1_report(load_knot(args.file))
     sys.stdout.write(render_json(doc, pretty=args.pretty))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    report = vertex_distortion(load_knot(args.file), prune=not args.no_prune)
+    report = vertex_distortion(load_knot(args.file))
     cert = certify_unknot(report)
     delta = ratio_doc(report.delta)
     print(f"{cert.verdict} delta={delta['num']}/{delta['den']} ({delta['decimal']})")
@@ -155,10 +151,6 @@ def _build_parser() -> _Parser:
         sub.set_defaults(run=run)
         return sub
 
-    def no_prune(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--no-prune", action="store_true",
-                         help="disable early termination (oracle mode)")
-
     p = command("validate", _cmd_validate, "check a knot file against the invariants")
     p.add_argument("file")
 
@@ -166,16 +158,13 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--with-heatmap", action="store_true")
-    no_prune(p)
 
     p = command("gromov1", _cmd_gromov1, "curve-wide distortion report as JSON")
     p.add_argument("file")
     p.add_argument("--pretty", action="store_true")
-    no_prune(p)
 
     p = command("certify", _cmd_certify, "unknot certificate verdict")
     p.add_argument("file")
-    no_prune(p)
 
     p = command("scale", _cmd_scale, "write the scaled knot")
     p.add_argument("file")

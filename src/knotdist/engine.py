@@ -6,8 +6,8 @@ the arc length is fixed, so the band's best ratio is 2d over the band
 minimum m(d) of the taxicab distances (doubled units), and the whole
 band is evaluated with three vectorised integer operations.
 
-The full sweep evaluates every band.  The pruned run refines instead:
-each step moves one end of a pair by one edge, which changes its taxicab
+A report refines over the bands instead of evaluating them all: each
+step moves one end of a pair by one edge, which changes its taxicab
 distance by exactly 2, so m is 2-Lipschitz in d; and each step changes
 the coordinate sum by 2, so m(d) = 2d (mod 4) and m(d) >= 2 for odd d,
 >= 4 for even d.  Between two evaluated bands a < b, every band d thus
@@ -20,18 +20,18 @@ below the running maximum is dropped; any other gets the band at its
 bound's argmax evaluated and is split there (Piyavskii-Shubert branch
 and bound).  A band that reaches the final maximum has a bound at least
 that maximum, so it is never dropped: the strict test keeps the witness
-set identical to the full sweep's.  Taken highest bound first, every
-evaluated band other than h has d >= its bound >= the maximum, so at most
-h - ceil(delta) + 1 bands are evaluated; on compact knots, where the
-maximum is small, a few dozen.
+set identical to that of a sweep over every band.  Taken highest bound
+first, every evaluated band other than h has d >= its bound >= the
+maximum, so at most h - ceil(delta) + 1 bands are evaluated; on compact
+knots, where the maximum is small, a few dozen.
 
-The full sweep takes max(1, BLOCK_ELEMENTS // n) contiguous bands per
-kernel call, so that on knots of a few thousand edges the per-call
-overhead of numpy, not the arithmetic, stops setting its time.  The
+Only the heatmap sweeps every band.  It takes max(1, BLOCK_ELEMENTS // n)
+contiguous bands per kernel call, so that on knots of a few thousand
+edges the per-call overhead of numpy, not the arithmetic, stops setting
+its time, and picks each row's best band within a block by a float key
+that orders the band ratios exactly (see _Sweep._update_heatmap).  The
 kernel runs in int32: shifted coordinates lie in [0, n] and taxicab
-sums stay below 3n, so knots with 3n >= 2^31 are refused.  The heatmap
-picks each row's best band within a block by a float key that orders
-the band ratios exactly (see _Sweep._update_heatmap).
+sums stay below 3n, so knots with 3n >= 2^31 are refused.
 
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
@@ -58,7 +58,7 @@ WitnessPair = tuple[LatticePoint, LatticePoint]
 
 # Most edges the int32 band kernel takes: its taxicab sums reach 3n.
 MAX_SWEEP_EDGES = (2**31 - 1) // 3
-# Distances one full-sweep kernel call evaluates: a block of
+# Distances one heatmap-sweep kernel call evaluates: a block of
 # max(1, BLOCK_ELEMENTS // n) contiguous bands.
 BLOCK_ELEMENTS = 2**15
 
@@ -70,7 +70,7 @@ class DistortionReport:
     delta is the maximum ratio, witnesses the deduplicated unordered
     point pairs achieving it (each pair tuple in coordinate order),
     pairs_examined the number of distinct index pairs evaluated, and
-    pruned whether the pruned run skipped any band.  For the
+    pruned whether the sweep skipped any band.  For the
     curve-wide maximum, pairs_examined is the vertex pairs examined plus
     the n/2 antipodal midpoint pairs, and pruned is the vertex sweep's.
     A vertex sweep also keeps the witnesses as vertex index pairs, which
@@ -180,7 +180,7 @@ class _Sweep:
     window [n - d, 2n - d) of the doubled rows.
     """
 
-    def __init__(self, knot: LatticeKnot, want_heatmap: bool = False):
+    def __init__(self, knot: LatticeKnot):
         self.knot = knot
         n = self.n = knot.n
         if n > MAX_SWEEP_EDGES:
@@ -200,32 +200,25 @@ class _Sweep:
         self.coords[:, n:] = self.coords[:, :n]
         # windows[:, k] is coords[:, k : k + n], the partners of band n - k
         self.windows = sliding_window_view(self.coords, n, axis=1)
-        # one band's buffers; the full sweep replaces them by a block's
+        # one band's buffers; the heatmap sweep replaces them by a block's
         self.diff = np.empty((3, 1, n), dtype=np.int32)
         self.dist = np.empty((1, n), dtype=np.int32)
-        self.want_heatmap = want_heatmap
-        if want_heatmap:
-            self.row_num = np.zeros(n, dtype=np.int64)
-            self.row_den = np.ones(n, dtype=np.int64)
+        # the running maximum num/den, compared by cross-multiplication
+        self.num, self.den = 1, 1
+        self.index_pairs: set[tuple[int, int]] = set()
+        self.bands = self.pairs = 0
 
-    def _bands(self, d0: int, d1: int, square: bool = False) -> np.ndarray:
-        """Per-index taxicab (or squared Euclidean) distances of bands d0 .. d1 - 1.
+    def _bands(self, d0: int, d1: int) -> np.ndarray:
+        """Per-index taxicab distances of bands d0 .. d1 - 1.
 
         Row b of the (d1 - d0, n) result holds the distance of each index
-        i to i - (d0 + b).  A taxicab block lives in a buffer that the next
-        call overwrites.
+        i to i - (d0 + b), in a buffer that the next call overwrites.
         """
         n = self.n
         diff = self.diff[:, : d1 - d0]
         np.subtract(self.coords[:, None, :n], self.windows[:, n - d0 : n - d1 : -1], out=diff)
-        if square:
-            # squared sums reach 3 n^2, past int32
-            diff = np.square(diff, dtype=np.int64)
-            out = None
-        else:
-            np.abs(diff, out=diff)
-            out = self.dist[: d1 - d0, :n]
-        dist = np.add(diff[0], diff[1], out=out)
+        np.abs(diff, out=diff)
+        dist = np.add(diff[0], diff[1], out=self.dist[: d1 - d0, :n])
         return np.add(dist, diff[2], out=dist)
 
     # -- drivers ------------------------------------------------------------
@@ -281,31 +274,35 @@ class _Sweep:
             push(a, ma, d, md)
             push(d, md, b, mb)
 
-    def _sweep_all(self) -> None:
-        """Evaluate every band, a block of contiguous bands per kernel call.
+    def _sweep_all(self) -> Heatmap:
+        """Evaluate every band into the maximum and the per-row maxima.
 
-        Blocks run from the antipodal band down, and so do the bands within
-        a block: on a hairpin, where the ratio grows with d, ascending
-        bands would each beat the last and collect their witnesses anew.
+        A block of contiguous bands is taken per kernel call.  Blocks run
+        from the antipodal band down, and so do the bands within a block:
+        on a hairpin, where the ratio grows with d, ascending bands would
+        each beat the last and collect their witnesses anew.
         """
         n, h = self.n, self.n // 2
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=np.int32)
         # doubled like the coordinates, so the heatmap can read dist[i + d]
         self.dist = np.empty((width, 2 * n), dtype=np.int32)
-        if self.want_heatmap:
-            self.cand = np.empty((width, n), dtype=np.int32)
-            self.key = np.empty((width, n), dtype=np.float64)
-            # fl(1 / 2d) at index d - 1
-            self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
-            self.band_offsets = np.arange(width, dtype=np.int32)[:, None]
+        # the per-row maxima row_num / row_den, and the heatmap's block buffers
+        self.row_num = np.zeros(n, dtype=np.int64)
+        self.row_den = np.ones(n, dtype=np.int64)
+        self.cand = np.empty((width, n), dtype=np.int32)
+        self.key = np.empty((width, n), dtype=np.float64)
+        # fl(1 / 2d) at index d - 1
+        self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
+        self.band_offsets = np.arange(width, dtype=np.int32)[:, None]
         for d1 in range(h + 1, 1, -width):
             d0 = max(1, d1 - width)
             dist = self._bands(d0, d1)
-            if self.want_heatmap:
-                self._update_heatmap(d0, d1)
+            self._update_heatmap(d0, d1)
             for b, dmin in reversed(list(enumerate(dist.min(axis=1).tolist()))):
                 self._record(d0 + b, dist[b], dmin)
+        g = np.gcd(self.row_num, self.row_den)
+        return Heatmap(self.knot, self.row_num // g, self.row_den // g)
 
     def _update_heatmap(self, d0: int, d1: int) -> None:
         """Fold the block of bands d0 .. d1 - 1 into the per-row maxima.
@@ -349,54 +346,49 @@ class _Sweep:
         np.copyto(self.row_num, num, where=better)
         np.copyto(self.row_den, den, where=better)
 
-    def run(self, prune: bool) -> DistortionReport:
-        # the running maximum num/den, compared by cross-multiplication
-        self.num, self.den = 1, 1
-        self.index_pairs: set[tuple[int, int]] = set()
-        self.bands = self.pairs = 0
-        h = self.n // 2
-        if prune:
-            self._refine()
-        else:
-            self._sweep_all()
+    def report(self) -> DistortionReport:
+        """The maximum and its witnesses, once the bands are evaluated."""
         index_pairs = frozenset(self.index_pairs)
         ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
         witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
-        return DistortionReport(
-            Fraction(self.num, self.den), witnesses, self.pairs, self.bands < h, index_pairs
-        )
+        return DistortionReport(Fraction(self.num, self.den), witnesses, self.pairs,
+                                self.bands < self.n // 2, index_pairs)
 
     def run_euclidean(self) -> Fraction:
+        n = self.n
         num, den = 0, 1
-        for d in range(self.n // 2, 0, -1):
+        for d in range(n // 2, 0, -1):
             # doubled squared distances are >= 4, so band d gives at most d^2
             if num >= d * d * den:
                 break
-            e2 = int(self._bands(d, d + 1, square=True).min())
+            # squared sums reach 3 n^2, past int32
+            diff = np.subtract(self.coords[:, :n], self.windows[:, n - d], dtype=np.int64)
+            e2 = int(np.square(diff).sum(axis=0).min())
             if 4 * d * d * den > num * e2:
                 num, den = 4 * d * d, e2
         return Fraction(num, den)
 
 
-def vertex_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
+def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
     """Maximum of arc/taxicab over all vertex pairs, with all witnesses.
 
-    With prune=True only the bands whose Lipschitz bound reaches the
-    running maximum are evaluated (see the module docstring): the band
-    minimum is 2-Lipschitz in the arc distance d and congruent to 2d
-    mod 4, so two evaluated bands bound every band between them.  Bands
-    are dropped only when their bound is strictly below the maximum, so
-    the value and the witness set are identical to the unpruned run.
+    Only the bands whose Lipschitz bound reaches the running maximum are
+    evaluated (see the module docstring): the band minimum is 2-Lipschitz
+    in the arc distance d and congruent to 2d mod 4, so two evaluated
+    bands bound every band between them.  Bands are dropped only when
+    their bound is strictly below the maximum, so the value and the
+    witness set are those of a sweep over every band.
     """
-    return _Sweep(knot).run(prune)
+    sweep = _Sweep(knot)
+    sweep._refine()
+    return sweep.report()
 
 
 def vertex_distortion_with_heatmap(knot: LatticeKnot) -> tuple[DistortionReport, Heatmap]:
-    """Unpruned sweep that also collects the per-vertex row maxima."""
-    sweep = _Sweep(knot, want_heatmap=True)
-    rep = sweep.run(prune=False)
-    g = np.gcd(sweep.row_num, sweep.row_den)
-    return rep, Heatmap(knot, sweep.row_num // g, sweep.row_den // g)
+    """Sweep over every band that also collects the per-vertex row maxima."""
+    sweep = _Sweep(knot)
+    heat = sweep._sweep_all()
+    return sweep.report(), heat
 
 
 def heatmap(knot: LatticeKnot) -> Heatmap:
@@ -404,7 +396,7 @@ def heatmap(knot: LatticeKnot) -> Heatmap:
     return vertex_distortion_with_heatmap(knot)[1]
 
 
-def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionReport:
+def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:
     """Distortion maximum over the whole curve in the taxicab metric.
 
     This is the vertex distortion of the doubled knot, whose vertices are
@@ -435,7 +427,7 @@ def gromov1_distortion(knot: LatticeKnot, *, prune: bool = True) -> DistortionRe
     pairs_examined counts the vertex pairs the sweep examined plus the n/2
     antipodal midpoint pairs; pruned is the vertex sweep's.
     """
-    return _gromov1_from_vertex_report(knot, vertex_distortion(knot, prune=prune))
+    return _gromov1_from_vertex_report(knot, vertex_distortion(knot))
 
 
 def _gromov1_delta(knot: LatticeKnot, vertex_delta: Fraction) -> tuple[Fraction, np.ndarray]:

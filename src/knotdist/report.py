@@ -83,12 +83,7 @@ def certificate_doc(report: DistortionReport) -> dict:
     }
 
 
-def build_report(
-    knot: LatticeKnot,
-    *,
-    prune: bool = True,
-    with_heatmap: bool = False,
-) -> dict:
+def build_report(knot: LatticeKnot, *, with_heatmap: bool = False) -> dict:
     """Full report: distortion, witnesses, curve-wide maximum, certificate.
 
     The same flags always produce byte-identical JSON.  One vertex sweep
@@ -97,7 +92,7 @@ def build_report(
     if with_heatmap:
         rep, heat = vertex_distortion_with_heatmap(knot)
     else:
-        rep = vertex_distortion(knot, prune=prune)
+        rep = vertex_distortion(knot)
         heat = None
     doc = {
         "schema": SCHEMA,
@@ -112,9 +107,9 @@ def build_report(
     return doc
 
 
-def build_gromov1_report(knot: LatticeKnot, *, prune: bool = True) -> dict:
+def build_gromov1_report(knot: LatticeKnot) -> dict:
     """Curve-wide distortion with witnesses among vertices and midpoints."""
-    g1 = gromov1_distortion(knot, prune=prune)
+    g1 = gromov1_distortion(knot)
     return {
         "schema": SCHEMA,
         "n_edges": knot.n,

@@ -66,13 +66,31 @@ class TestCompute:
         assert doc["certificate"]["verdict"] == "unknot_certified"
         assert "heatmap" not in doc
 
-    def test_no_prune_byte_identical(self, capsys, square_file, rect14_file, tmp_path):
-        trefoil_file = tmp_path / "t23.knot"
-        trefoil_file.write_text(serialize_vertices(torus_knot(2, 3, 2)), encoding="utf-8")
-        for path in (square_file, rect14_file, trefoil_file):
-            _, fast, _ = run(capsys, ["compute", str(path)])
-            _, slow, _ = run(capsys, ["compute", "--no-prune", str(path)])
-            assert fast == slow
+    def test_no_prune_option_rejected(self, capsys, square_file):
+        for command in ("compute", "gromov1", "certify"):
+            code, out, err = run(capsys, [command, "--no-prune", str(square_file)])
+            assert code == 1, command
+            assert out == ""
+            assert err.startswith("usage error:")
+
+    def test_heatmap_report_is_the_report_plus_its_heatmap(
+        self, capsys, square_file, rect14_file, tmp_path
+    ):
+        # the heatmap sweep evaluates every band, so it cross-checks the
+        # pruned report byte for byte
+        paths = [square_file, rect14_file]
+        for name, knot in (("t23", torus_knot(2, 3, 2)), ("t388", torus_knot(2, 3, 8)),
+                           ("r1x99", rectangle(1, 99)), ("rand600", random_polygon(600, 0))):
+            paths.append(tmp_path / f"{name}.knot")
+            paths[-1].write_text(serialize_vertices(knot), encoding="utf-8")
+        for path in paths:
+            _, plain, _ = run(capsys, ["compute", str(path)])
+            _, full, _ = run(capsys, ["compute", "--with-heatmap", str(path)])
+            assert plain.endswith("}\n")
+            head, tail = plain[:-2] + ',"heatmap":', "}\n"
+            assert full.startswith(head) and full.endswith(tail), path
+            rows = json.loads(full[len(head) : -len(tail)])
+            assert len(rows) == json.loads(plain)["n_edges"], path
 
     def test_pretty_is_equivalent(self, capsys, square_file):
         _, compact, _ = run(capsys, ["compute", str(square_file)])

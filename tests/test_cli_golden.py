@@ -80,19 +80,13 @@ def cases() -> list[list[str]]:
     for f in GOOD:
         out += [
             ["compute", "--pretty", f],
-            ["compute", "--no-prune", f],
             ["compute", "--with-heatmap", f],
-            ["compute", f, "--with-heatmap", "--pretty", "--no-prune"],
             ["gromov1", "--pretty", f],
-            ["gromov1", "--no-prune", f],
-            ["gromov1", f, "--pretty", "--no-prune"],
-            ["certify", "--no-prune", f],
             ["scale", f, "--factor", "3", "--form", "moves"],
             ["scale", f, "--factor", "1", "--form", "vertices"],
         ]
     for f in LONG:
-        out += [["compute", "--with-heatmap", f], ["compute", "--no-prune", f],
-                ["heatmap", f, "--csv", "-"]]
+        out += [["compute", "--with-heatmap", f], ["heatmap", f, "--csv", "-"]]
     out += [
         ["scale", "square.knot", "--factor", "2", "-o", "out.knot"],
         ["scale", "square.knot", "--factor", "2", "--output", "out.knot", "--form", "moves"],
@@ -129,6 +123,9 @@ def cases() -> list[list[str]]:
         ["frobnicate"],
         ["compute"],
         ["compute", "--threads", "2", "square.knot"],
+        ["compute", "--no-prune", "square.knot"],
+        ["gromov1", "--no-prune", "square.knot"],
+        ["certify", "--no-prune", "square.knot"],
         ["validate", "square.knot", "extra"],
         ["certify", "--pretty", "square.knot"],
     ]

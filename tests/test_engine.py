@@ -40,6 +40,16 @@ from conftest import (
 )
 
 
+def full_sweep(knot):
+    """The vertex report of the sweep over every band, the pruned run's reference."""
+    return vertex_distortion_with_heatmap(knot)[0]
+
+
+def full_gromov1(knot):
+    """The curve-wide report extended from the sweep over every band."""
+    return knotdist.engine._gromov1_from_vertex_report(knot, full_sweep(knot))
+
+
 class TestVertexDistortion:
     def test_unit_square(self, unit_square):
         rep = vertex_distortion(unit_square)
@@ -63,8 +73,7 @@ class TestVertexDistortion:
     def test_against_reference_oracle(self, small_corpus):
         for knot in small_corpus:
             want_delta, want_wit = reference_vertex_distortion(knot.true_vertices())
-            for prune in (False, True):
-                rep = vertex_distortion(knot, prune=prune)
+            for rep in (full_sweep(knot), vertex_distortion(knot)):
                 assert rep.delta == want_delta
                 assert witness_true_pairs(rep) == want_wit
 
@@ -86,16 +95,15 @@ class TestVertexDistortion:
         knots += [torus_knot(2, 5, 3), torus_knot(3, 4, 3)]
         knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
         for knot in knots:
-            fast = vertex_distortion(knot, prune=True)
-            slow = vertex_distortion(knot, prune=False)
+            fast = vertex_distortion(knot)
+            slow = full_sweep(knot)
             assert fast.delta == slow.delta, knot
             assert fast.witnesses == slow.witnesses, knot
             assert fast.pairs_examined <= slow.pairs_examined
 
     def test_index_pairs_match_witnesses(self, small_corpus):
         for knot in small_corpus:
-            for prune in (True, False):
-                rep = vertex_distortion(knot, prune=prune)
+            for rep in (vertex_distortion(knot), full_sweep(knot)):
                 verts = knot.vertices
                 assert {tuple(sorted((verts[i], verts[j]))) for i, j in rep._index_pairs} == set(
                     rep.witnesses
@@ -235,16 +243,17 @@ class TestBruteForceOracle:
             )
 
 
-def doubled_vm_distortion(knot, prune=True):
+def doubled_vm_distortion(knot, sweep=vertex_distortion):
     """Oracle: vertex distortion of the doubled knot, witnesses mapped back.
 
-    The doubled knot's vertices are exactly the original's vertices and
-    edge midpoints.  The knot is first moved so vertex 0 is at the origin,
-    so doubling stays within 64 bits however far out the knot sits.
+    sweep(knot) gives the vertex report.  The doubled knot's vertices are
+    exactly the original's vertices and edge midpoints.  The knot is first
+    moved so vertex 0 is at the origin, so doubling stays within 64 bits
+    however far out the knot sits.
     """
     base = knot.vertices[0]
     at_origin = transform(knot, translate=tuple(-c // 2 for c in base))
-    rep = vertex_distortion(scale(at_origin, 2), prune=prune)
+    rep = sweep(scale(at_origin, 2))
 
     def back(p):
         return LatticePoint(*(c // 2 + o for c, o in zip(p, base)))
@@ -276,19 +285,18 @@ class TestGromov1:
         knots += [torus_knot(2, 3, 2), torus_knot(2, 3, 3)]
         for knot in knots:
             bf = brute_force_vm_distortion(knot)
-            for prune in (True, False):
-                g1 = gromov1_distortion(knot, prune=prune)
-                assert g1.delta == bf.delta, (knot, prune)
-                assert g1.witnesses == bf.witnesses, (knot, prune)
+            for g1 in (gromov1_distortion(knot), full_gromov1(knot)):
+                assert g1.delta == bf.delta, (knot, g1)
+                assert g1.witnesses == bf.witnesses, (knot, g1)
 
     def test_equals_doubled_knot_on_large_knots(self):
         knots = [torus_knot(2, 3, 8), rectangle(40, 40)]
         knots += [random_polygon(600, seed) for seed in range(3)]
         knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
         for knot in knots:
-            for prune in (True, False):
-                g1 = gromov1_distortion(knot, prune=prune)
-                assert (g1.delta, g1.witnesses) == doubled_vm_distortion(knot, prune), knot
+            for g1, sweep in ((gromov1_distortion(knot), vertex_distortion),
+                              (full_gromov1(knot), full_sweep)):
+                assert (g1.delta, g1.witnesses) == doubled_vm_distortion(knot, sweep), knot
 
     def test_never_scales(self, monkeypatch, trefoil):
         def refuse(*args, **kwargs):
@@ -301,8 +309,7 @@ class TestGromov1:
     def test_pairs_examined_definition(self, unit_square):
         # 6 vertex pairs plus the 2 antipodal midpoint pairs, which alone
         # reach the maximum 2
-        for prune in (True, False):
-            rep = gromov1_distortion(unit_square, prune=prune)
+        for rep in (gromov1_distortion(unit_square), full_gromov1(unit_square)):
             assert rep.pairs_examined == 8
             assert rep.pruned is False
         assert vertex_distortion(unit_square).delta == 1
@@ -329,13 +336,10 @@ class TestGromov1:
 # earlier implementation, which swept the doubled knot for gromov1
 REPORT_SHA256 = {
     ("unit_square", "default"): "2e373a6f685a44a4",
-    ("unit_square", "no_prune"): "2e373a6f685a44a4",
     ("unit_square", "heatmap"): "a66776159f2357ed",
     ("square", "default"): "2d24b3e851933ab3",
-    ("square", "no_prune"): "2d24b3e851933ab3",
     ("square", "heatmap"): "f6adc29f40d3820b",
     ("trefoil", "default"): "f7d633db5a03d95c",
-    ("trefoil", "no_prune"): "f7d633db5a03d95c",
     ("trefoil", "heatmap"): "c90c7b2cb5b17883",
 }
 
@@ -351,7 +355,7 @@ class TestBuildReport:
 
         monkeypatch.setattr(knotdist.engine, "_Sweep", counting)
         knots = {"unit_square": unit_square, "square": rectangle(2, 2), "trefoil": trefoil}
-        flags = {"default": {}, "no_prune": {"prune": False}, "heatmap": {"with_heatmap": True}}
+        flags = {"default": {}, "heatmap": {"with_heatmap": True}}
         for name, knot in knots.items():
             for flag, kwargs in flags.items():
                 sweeps.clear()
@@ -371,7 +375,7 @@ class TestBuildReport:
 
         monkeypatch.setattr(knotdist.engine, "_gromov1_from_vertex_report", refuse)
         for knot, delta in zip(knots, want):
-            for flags in ({}, {"prune": False}, {"with_heatmap": True}):
+            for flags in ({}, {"with_heatmap": True}):
                 g1 = build_report(knot, **flags)["gromov1"]
                 assert Fraction(g1["num"], g1["den"]) == delta, (knot, flags)
 
@@ -408,7 +412,7 @@ class TestSweepLayout:
         knot = rectangle(3, 3)
         monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n - 1)
         for run in (vertex_distortion, heatmap, gromov1_distortion, euclidean_vertex_lower_bound,
-                    lambda k: vertex_distortion(k, prune=False)):
+                    vertex_distortion_with_heatmap):
             with pytest.raises(ValueError, match="int32 band kernel takes at most 11"):
                 run(knot)
         monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n)
@@ -417,7 +421,7 @@ class TestSweepLayout:
     def test_pruned_run_allocates_one_band(self):
         knot = rectangle(20, 20)
         sweep = knotdist.engine._Sweep(knot)
-        sweep.run(prune=True)
+        sweep._refine()
         assert sweep.diff.shape == (3, 1, knot.n) and sweep.dist.shape == (1, knot.n)
 
     def test_rows_are_contiguous(self, small_corpus, trefoil):
@@ -437,10 +441,14 @@ class TestEuclideanBound:
         assert euclidean_vertex_lower_bound(rectangle(1, 4)) == 25
 
     def test_against_reference(self, small_corpus):
-        for knot in small_corpus:
-            assert euclidean_vertex_lower_bound(knot) == reference_euclidean_bound(
-                knot.true_vertices()
-            )
+        knots = small_corpus + [random_polygon(length, seed) for length in range(4, 121, 4)
+                                for seed in range(3)]
+        knots += [torus_knot(2, 3, s) for s in range(2, 5)]
+        knots += [rectangle(1, k) for k in (1, 9, 50)]
+        knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
+        for knot in knots:
+            want = reference_euclidean_bound(knot.true_vertices())
+            assert euclidean_vertex_lower_bound(knot) == want, knot
 
     def test_dominates_squared_delta(self, small_corpus, trefoil):
         for knot in small_corpus + [trefoil]:
@@ -457,7 +465,7 @@ class TestHeatmap:
         for knot in small_corpus:
             rep, rows = vertex_distortion_with_heatmap(knot)
             assert max(r.value for r in rows) == rep.delta
-            assert rep == vertex_distortion(knot, prune=False)
+            assert rep == brute_force_vm_distortion(knot, vertices_only=True)
 
     def test_1x4_peak_row(self):
         rows = heatmap(rectangle(1, 4))
@@ -514,9 +522,9 @@ def sweep_blocks(monkeypatch, knot, width, run):
     blocks = []
     real = knotdist.engine._Sweep._bands
 
-    def spy(self, d0, d1, square=False):
+    def spy(self, d0, d1):
         blocks.append((d0, d1))
-        return real(self, d0, d1, square)
+        return real(self, d0, d1)
 
     with monkeypatch.context() as m:
         if width is not None:
@@ -529,8 +537,7 @@ class TestBlockedSweep:
     def test_blocks_cover_every_band_descending(self, monkeypatch):
         knot = random_polygon(120, 1)
         for width, want in ((1, 60), (2, 30), (7, 9), (31, 2), (60, 1), (500, 1)):
-            _, blocks = sweep_blocks(monkeypatch, knot, width,
-                                     lambda k: vertex_distortion(k, prune=False))
+            _, blocks = sweep_blocks(monkeypatch, knot, width, full_sweep)
             # bands 60 .. 1 in contiguous blocks from the top; only the last is short
             assert len(blocks) == want
             assert blocks[0][1] == 61 and blocks[-1][0] == 1
@@ -544,7 +551,7 @@ class TestBlockedSweep:
         for knot in block_knots(small_corpus):
             brute = reference_row_maxima(knot)
             assert reference_heatmap_rows(knot) == brute, knot
-            full = vertex_distortion(knot, prune=False)
+            full = full_sweep(knot)
             for width in block_widths(knot):
                 (rep, heat), _ = sweep_blocks(monkeypatch, knot, width,
                                               vertex_distortion_with_heatmap)
@@ -557,8 +564,7 @@ class TestBlockedSweep:
             pruned = vertex_distortion(knot)
             assert (pruned.delta, pruned.witnesses) == (brute.delta, brute.witnesses), knot
             for width in block_widths(knot):
-                full, _ = sweep_blocks(monkeypatch, knot, width,
-                                       lambda k: vertex_distortion(k, prune=False))
+                full, _ = sweep_blocks(monkeypatch, knot, width, full_sweep)
                 assert full.delta == brute.delta, (knot, width)
                 assert full.witnesses == brute.witnesses, (knot, width)
                 assert full.pairs_examined == brute.pairs_examined, (knot, width)

@@ -24,7 +24,9 @@ from knotdist import (
     transform,
     validate,
     vertex_distortion,
+    vertex_distortion_with_heatmap,
 )
+from knotdist.engine import _gromov1_from_vertex_report
 from knotdist.report import build_report
 from conftest import (
     reference_edge_of_midpoint,
@@ -138,7 +140,7 @@ class TestCoords:
         knot = LatticeKnot.from_true(moved.true_vertices())
         before = knot.coords.copy()
         build_report(knot, with_heatmap=True)
-        gromov1_distortion(knot, prune=False)
+        _gromov1_from_vertex_report(knot, vertex_distortion_with_heatmap(knot)[0])
         heatmap(knot)
         assert np.array_equal(knot.coords, before)
 

@@ -3,14 +3,18 @@
 import argparse
 import ast
 import collections
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import knotdist
-from knotdist import LatticePoint, cli, random_polygon, report, serialize_vertices
+import knotdist.engine
+from knotdist import LatticePoint, cli, random_polygon, report, serialize_vertices, torus_knot
 from test_cli_golden import cases
 
 PACKAGE = Path(knotdist.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -68,3 +72,51 @@ def test_heatmap_output_builds_nothing_per_row(monkeypatch, capsys, tmp_path):
     assert cli.main(["heatmap", str(path), "--csv", "-"]) == 0
     assert capsys.readouterr().out.count("\n") == 401
     assert calls == {}
+
+
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module, imported without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_exist(monkeypatch):
+    # the benchmark drives the CLI and wraps library functions by name, so
+    # removing any of them would break it without failing another test
+    corpus = load_perfbench(monkeypatch, "corpus")
+    spans = load_perfbench(monkeypatch, "spans")
+    for workload in corpus.WORKLOADS.values():
+        cli._PARSER.parse_args([*workload.argv, "knot.knot"])
+    for layer, names in spans.TARGETS.items():
+        module = getattr(knotdist, layer)
+        assert all(callable(getattr(module, name, None)) for name in names), layer
+
+    # knotdist.<attr> chains, and those on names imported from knotdist
+    for script in ("make_answers.py", "run.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        bound = {"knotdist": knotdist}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "knotdist":
+                bound.update((a.asname or a.name, getattr(knotdist, a.name)) for a in node.names)
+        read = 0
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                target = bound[node.id]
+                for attr in reversed(chain):
+                    assert hasattr(target, attr), (script, node.id, chain)
+                    target = getattr(target, attr)
+                read += 1
+        assert read, script
+
+    knot = torus_knot(2, 3, 3)
+    for name in spans.SWEEP_FACTOR:
+        result = getattr(knotdist.engine, name)(knot)
+        assert spans._counts(name, (knot,), result)["bands"] > 0, name
