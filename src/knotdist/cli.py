@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import vertex_distortion, vertex_distortion_with_heatmap
+from .engine import heatmap, vertex_distortion
 from .generators import (
     GeneratorError,
     exhaustive_small,
@@ -123,8 +123,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    _, heat = vertex_distortion_with_heatmap(load_knot(args.file))
-    _write(heatmap_csv(heat), args.csv)
+    _write(heatmap_csv(heatmap(load_knot(args.file))), args.csv)
     return 0
 
 

@@ -25,8 +25,9 @@ first, every evaluated band other than h has d >= its bound >= the
 maximum, so at most h - ceil(delta) + 1 bands are evaluated; on compact
 knots, where the maximum is small, a few dozen.
 
-Only the heatmap sweeps every band.  It takes max(1, BLOCK_ELEMENTS // n)
-contiguous bands per kernel call, so that on knots of a few thousand
+Only the heatmap's row sweep visits every band, and it computes only
+the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
+bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time, and picks each row's best band within a block by a float key
 that orders the band ratios exactly (see _Sweep._update_heatmap).  The
@@ -58,7 +59,7 @@ WitnessPair = tuple[LatticePoint, LatticePoint]
 
 # Most edges the int32 band kernel takes: its taxicab sums reach 3n.
 MAX_SWEEP_EDGES = (2**31 - 1) // 3
-# Distances one heatmap-sweep kernel call evaluates: a block of
+# Distances one row-sweep kernel call evaluates: a block of
 # max(1, BLOCK_ELEMENTS // n) contiguous bands.
 BLOCK_ELEMENTS = 2**15
 
@@ -68,19 +69,18 @@ class DistortionReport:
     """Exact distortion maximum with its complete witness set.
 
     delta is the maximum ratio, witnesses the deduplicated unordered
-    point pairs achieving it (each pair tuple in coordinate order),
-    pairs_examined the number of distinct index pairs evaluated, and
-    pruned whether the sweep skipped any band.  For the
-    curve-wide maximum, pairs_examined is the vertex pairs examined plus
-    the n/2 antipodal midpoint pairs, and pruned is the vertex sweep's.
-    A vertex sweep also keeps the witnesses as vertex index pairs, which
-    take no part in equality.
+    point pairs achieving it (each pair tuple in coordinate order), and
+    pairs_examined the number of distinct index pairs evaluated; the
+    branch and bound skipped some band exactly when a vertex report's
+    pairs_examined is below n(n - 1)/2.  For the curve-wide maximum,
+    pairs_examined is the vertex pairs examined plus the n/2 antipodal
+    midpoint pairs.  A vertex report also keeps the witnesses as vertex
+    index pairs, which take no part in equality.
     """
 
     delta: Fraction
     witnesses: frozenset[WitnessPair]
     pairs_examined: int
-    pruned: bool
     _index_pairs: frozenset[tuple[int, int]] = field(
         default=frozenset(), compare=False, repr=False
     )
@@ -200,13 +200,13 @@ class _Sweep:
         self.coords[:, n:] = self.coords[:, :n]
         # windows[:, k] is coords[:, k : k + n], the partners of band n - k
         self.windows = sliding_window_view(self.coords, n, axis=1)
-        # one band's buffers; the heatmap sweep replaces them by a block's
+        # one band's buffers; the row sweep replaces them by a block's
         self.diff = np.empty((3, 1, n), dtype=np.int32)
         self.dist = np.empty((1, n), dtype=np.int32)
         # the running maximum num/den, compared by cross-multiplication
         self.num, self.den = 1, 1
         self.index_pairs: set[tuple[int, int]] = set()
-        self.bands = self.pairs = 0
+        self.pairs = 0
 
     def _bands(self, d0: int, d1: int) -> np.ndarray:
         """Per-index taxicab distances of bands d0 .. d1 - 1.
@@ -223,14 +223,15 @@ class _Sweep:
 
     # -- drivers ------------------------------------------------------------
 
-    def _record(self, d: int, dist: np.ndarray, dmin: int) -> None:
-        """Fold band d, with distances dist and minimum dmin, into the maximum.
+    def _step(self, d: int) -> int:
+        """Evaluate band d into the running maximum; return the band minimum.
 
         A band that beats the maximum replaces the witness index pairs, one
         that ties it adds its own, so bands may be evaluated in any order.
         """
         n = self.n
-        self.bands += 1
+        dist = self._bands(d, d + 1)[0]
+        dmin = int(dist.min())
         # the antipodal band meets each of its pairs from both ends
         self.pairs += n // 2 if 2 * d == n else n
         lhs, rhs = 2 * d * self.den, self.num * dmin
@@ -241,12 +242,6 @@ class _Sweep:
             for i in np.nonzero(dist == dmin)[0].tolist():
                 j = (i - d) % n
                 self.index_pairs.add((min(i, j), max(i, j)))
-
-    def _step(self, d: int) -> int:
-        """Evaluate band d into the running maximum; return the band minimum."""
-        dist = self._bands(d, d + 1)[0]
-        dmin = int(dist.min())
-        self._record(d, dist, dmin)
         return dmin
 
     def _refine(self) -> None:
@@ -274,13 +269,11 @@ class _Sweep:
             push(a, ma, d, md)
             push(d, md, b, mb)
 
-    def _sweep_all(self) -> Heatmap:
-        """Evaluate every band into the maximum and the per-row maxima.
+    def _sweep_rows(self) -> Heatmap:
+        """Evaluate every band into the per-row maxima only.
 
-        A block of contiguous bands is taken per kernel call.  Blocks run
-        from the antipodal band down, and so do the bands within a block:
-        on a hairpin, where the ratio grows with d, ascending bands would
-        each beat the last and collect their witnesses anew.
+        A block of contiguous bands is taken per kernel call; the running
+        maximum and its witnesses are left to _refine.
         """
         n, h = self.n, self.n // 2
         width = min(h, max(1, BLOCK_ELEMENTS // n))
@@ -295,12 +288,10 @@ class _Sweep:
         # fl(1 / 2d) at index d - 1
         self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
         self.band_offsets = np.arange(width, dtype=np.int32)[:, None]
-        for d1 in range(h + 1, 1, -width):
-            d0 = max(1, d1 - width)
-            dist = self._bands(d0, d1)
+        for d0 in range(1, h + 1, width):
+            d1 = min(h + 1, d0 + width)
+            self._bands(d0, d1)
             self._update_heatmap(d0, d1)
-            for b, dmin in reversed(list(enumerate(dist.min(axis=1).tolist()))):
-                self._record(d0 + b, dist[b], dmin)
         g = np.gcd(self.row_num, self.row_den)
         return Heatmap(self.knot, self.row_num // g, self.row_den // g)
 
@@ -351,8 +342,7 @@ class _Sweep:
         index_pairs = frozenset(self.index_pairs)
         ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
         witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
-        return DistortionReport(Fraction(self.num, self.den), witnesses, self.pairs,
-                                self.bands < self.n // 2, index_pairs)
+        return DistortionReport(Fraction(self.num, self.den), witnesses, self.pairs, index_pairs)
 
     def run_euclidean(self) -> Fraction:
         n = self.n
@@ -385,15 +375,15 @@ def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
 
 
 def vertex_distortion_with_heatmap(knot: LatticeKnot) -> tuple[DistortionReport, Heatmap]:
-    """Sweep over every band that also collects the per-vertex row maxima."""
+    """vertex_distortion(knot), equal in every field, and heatmap(knot) from one _Sweep."""
     sweep = _Sweep(knot)
-    heat = sweep._sweep_all()
-    return sweep.report(), heat
+    sweep._refine()
+    return sweep.report(), sweep._sweep_rows()
 
 
 def heatmap(knot: LatticeKnot) -> Heatmap:
     """For each vertex, the maximum ratio against every other vertex."""
-    return vertex_distortion_with_heatmap(knot)[1]
+    return _Sweep(knot)._sweep_rows()
 
 
 def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:
@@ -425,7 +415,7 @@ def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:
     {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}; all those pairs are checked.
 
     pairs_examined counts the vertex pairs the sweep examined plus the n/2
-    antipodal midpoint pairs; pruned is the vertex sweep's.
+    antipodal midpoint pairs.
     """
     return _gromov1_from_vertex_report(knot, vertex_distortion(knot))
 
@@ -473,7 +463,7 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
         tax = np.abs(knot.coords_at(p_off) - knot.coords_at(q_off)).sum(axis=1)
         hit = (arc > 0) & (arc * delta.denominator == tax * delta.numerator)
         witnesses |= _point_pairs(knot, p_off[hit], q_off[hit])
-    return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half, rep.pruned)
+    return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half)
 
 
 def brute_force_vm_distortion(
@@ -511,7 +501,6 @@ def brute_force_vm_distortion(
         Fraction(best_num, best_den),
         frozenset(_ordered_pair(a, b) for a, b in hits),
         m * (m - 1) // 2,
-        False,
     )
 
 

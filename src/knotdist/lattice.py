@@ -16,6 +16,7 @@ LatticeKnot.coords_at is the one place that turns offsets into points.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -115,23 +116,36 @@ TrueVertex = tuple[int, int, int]
 TrueVertices = Union[Sequence[TrueVertex], np.ndarray]
 
 
-def _true_coords(vertices: TrueVertices) -> np.ndarray:
-    """(n, 3) array of true coordinates: int64 when every coordinate is
-    within +-_TRUE_LIMIT, Python ints in an object array otherwise."""
-    if isinstance(vertices, np.ndarray) and vertices.dtype not in (np.int64, object):
-        vertices = vertices.tolist()  # casting to int64 would wrap uint64 silently
-    try:
-        a = np.asarray(vertices, dtype=np.int64)
-    except OverflowError:
-        a = np.array([[int(c) for c in v] for v in vertices], dtype=object)
-    else:
-        # not abs(): np.abs(-2**63) is negative in int64
-        if a.size and (a.min() < -_TRUE_LIMIT or a.max() > _TRUE_LIMIT):
-            a = a.astype(object)
+def _coordinate_array(values) -> np.ndarray:
+    """values as an (n, 3) int64 array, or as Python ints in an object array
+    when one lies outside int64; an int64 array is returned as it is.
+    Raises ValueError on any other shape and on non-integers.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "bi":
+        # one by one: numpy reads Python ints past int64 as uint64, float64 or object
+        try:
+            ints = [operator.index(c) for c in np.array(values, dtype=object).flat]
+        except TypeError:
+            raise ValueError(f"coordinates must be integers, got {a.dtype}") from None
+        try:
+            a = np.array(ints, dtype=np.int64).reshape(a.shape)
+        except OverflowError:
+            a = np.array(ints, dtype=object).reshape(a.shape)
     if a.size == 0:
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError(f"expected vertices of three coordinates, got shape {a.shape}")
+        raise ValueError(f"expected points of three coordinates, got shape {a.shape}")
+    return a if a.dtype == object else a.astype(np.int64, copy=False)
+
+
+def _true_coords(vertices: TrueVertices) -> np.ndarray:
+    """(n, 3) array of true coordinates: int64 when every coordinate is
+    within +-_TRUE_LIMIT, Python ints in an object array otherwise."""
+    a = _coordinate_array(vertices)
+    # not abs(): np.abs(-2**63) is negative in int64
+    if a.dtype == np.int64 and a.size and (a.min() < -_TRUE_LIMIT or a.max() > _TRUE_LIMIT):
+        a = a.astype(object)
     return a
 
 
@@ -141,7 +155,7 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     vertices is a sequence of (x, y, z) or an (n, 3) integer array.
     Returns a ValidationResult whose violations name the failed invariant
     and the offending index or pair, grouped by invariant and in index
-    order.  Never raises on integer input: violations are data.
+    order.  Violations are data: only non-integer or misshapen input raises.
     """
     a = _true_coords(vertices)
     n = len(a)
@@ -207,21 +221,16 @@ class LatticeKnot:
     use.  Instances are immutable and hashable, and equal when their
     arrays are.  LatticeKnot(x) copies a sequence of LatticePoints or an
     (n, 3) array of doubled coordinates, raising OverflowError outside
-    int64, and checks nothing else: knots come from :meth:`from_true`,
-    the generators or the file parser, which validate, or from
-    :func:`scale` and :func:`transform` applied to a valid knot.
+    int64 and ValueError on non-integers, and checks nothing else: knots
+    come from :meth:`from_true`, the generators or the file parser, which
+    validate, or from :func:`scale` and :func:`transform` applied to a
+    valid knot.
     """
 
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        x = self.coords
-        if isinstance(x, np.ndarray) and x.dtype != np.int64:
-            x = x.tolist()  # casting to int64 would wrap uint64 silently
-        coords = np.array(x, dtype=np.int64)
-        if coords.size and coords.shape[1:] != (3,):
-            raise ValueError(f"expected points of three coordinates, got shape {coords.shape}")
-        coords = coords.reshape(-1, 3)
+        coords = np.array(_coordinate_array(self.coords), dtype=np.int64)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -348,7 +357,8 @@ def transform(
     """Apply a lattice isometry and an integer translation to a knot.
 
     Raises OverflowError, before any arithmetic, when a coordinate of the
-    result or the doubled translation leaves the 64-bit range.
+    result or the doubled translation leaves the 64-bit range, and
+    ValueError when the translation is not integral.
     """
     perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
     shift = [2 * t for t in translate]

@@ -86,8 +86,9 @@ def certificate_doc(report: DistortionReport) -> dict:
 def build_report(knot: LatticeKnot, *, with_heatmap: bool = False) -> dict:
     """Full report: distortion, witnesses, curve-wide maximum, certificate.
 
-    The same flags always produce byte-identical JSON.  One vertex sweep
-    serves the distortion, the curve-wide maximum and the heatmap.
+    The same flags always produce byte-identical JSON.  One _Sweep serves it
+    all: the branch and bound gives the distortion, its witnesses and the
+    curve-wide maximum, and the row sweep only the heatmap.
     """
     if with_heatmap:
         rep, heat = vertex_distortion_with_heatmap(knot)

@@ -2,7 +2,9 @@
 
 The reference implementations here recompute everything from raw true
 coordinates with plain loops and Fractions; they share no code with the
-banded engine they are used to check.
+banded engine they are used to check.  The one exception is
+reference_vertex_report, the exhaustive vertex report read off the
+engine's heatmap rows, which the tests check against reference_row_maxima.
 """
 
 import re
@@ -13,12 +15,14 @@ import pytest
 
 from knotdist import (
     Axis,
+    DistortionReport,
     Edge,
     KnotFileError,
     LatticeKnot,
     LatticePoint,
     ValidationResult,
     Violation,
+    heatmap,
     random_polygon,
     rectangle,
     torus_knot,
@@ -243,6 +247,32 @@ def reference_heatmap_rows(knot):
         row_num[better] = 2 * d
         row_den[better] = cand[better]
     return [Fraction(p, q) for p, q in zip(row_num.tolist(), row_den.tolist())]
+
+
+def reference_vertex_report(knot):
+    """The exhaustive vertex report, read off the heatmap rows.
+
+    Each row is its vertex's maximum over every partner, so delta is the
+    largest row, and a pair reaches delta exactly when both its rows
+    equal delta.  Each such row is matched against all n partners by
+    exact cross-multiplication, in one array pass.  pairs_examined counts
+    every pair, and the index pairs are kept for the curve-wide extension.
+    """
+    n, coords = knot.n, knot.coords
+    heat = heatmap(knot)
+    delta = max(r.value for r in heat)
+    idx = np.arange(n)
+    index_pairs = set()
+    for i in np.nonzero(heat.num * delta.denominator == heat.den * delta.numerator)[0].tolist():
+        arc = np.abs(idx - i)
+        arc = np.minimum(arc, n - arc)
+        tax = np.abs(coords - coords[i]).sum(axis=1)
+        # doubled units: arc 2 * arc over the doubled taxicab distance
+        hit = (arc > 0) & (2 * arc * delta.denominator == tax * delta.numerator)
+        index_pairs.update((min(i, j), max(i, j)) for j in np.nonzero(hit)[0].tolist())
+    verts = knot.vertices
+    witnesses = frozenset(tuple(sorted((verts[i], verts[j]))) for i, j in index_pairs)
+    return DistortionReport(delta, witnesses, n * (n - 1) // 2, frozenset(index_pairs))
 
 
 def witness_true_pairs(report):

@@ -37,7 +37,7 @@ from knotdist import (
     vertex_distortion_with_heatmap,
 )
 from knotdist.report import ratio_doc, witness_docs
-from conftest import reference_vertex_distortion
+from conftest import reference_vertex_distortion, reference_vertex_report
 
 
 @contextmanager
@@ -123,15 +123,19 @@ def test_criterion_06_algorithm_fidelity(corpus):
     with criterion(6, "pruning fidelity"):
         for name, knot in corpus.items():
             fast = vertex_distortion(knot)
-            slow = vertex_distortion_with_heatmap(knot)[0]
+            slow = reference_vertex_report(knot)
             assert _fingerprint(fast) == _fingerprint(slow), name
+            # the heatmap report is the vertex report, field for field
+            rep = vertex_distortion_with_heatmap(knot)[0]
+            assert rep == fast and rep.pairs_examined == fast.pairs_examined, name
+            assert rep._index_pairs == fast._index_pairs, name
         # 10,000 edges each: a hairpin and a square
         for big in (rectangle(1, 4999), rectangle(2500, 2500)):
             start = time.monotonic()
             fast = vertex_distortion(big)
             elapsed = time.monotonic() - start
             assert elapsed < 5.0, f"pruned 10k-edge run took {elapsed:.2f}s"
-            slow = vertex_distortion_with_heatmap(big)[0]
+            slow = reference_vertex_report(big)
             assert _fingerprint(fast) == _fingerprint(slow)
             print(f"  [recorded] pruned 10,000-edge rectangle in {elapsed*1000:.0f} ms, "
                   f"delta={fast.delta}")
@@ -144,7 +148,7 @@ def test_criterion_07_known_values():
         cases += [(rectangle(1, n), Fraction(n + 1)) for n in (2, 4, 6, 8, 10)]
         for knot, want in cases:
             ref_delta, ref_wit = reference_vertex_distortion(knot.true_vertices())
-            oracle = vertex_distortion_with_heatmap(knot)[0]
+            oracle = reference_vertex_report(knot)
             assert ref_delta == oracle.delta == want
             got_wit = {
                 tuple(sorted((tuple(c // 2 for c in a), tuple(c // 2 for c in b))))

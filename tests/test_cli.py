@@ -76,8 +76,8 @@ class TestCompute:
     def test_heatmap_report_is_the_report_plus_its_heatmap(
         self, capsys, square_file, rect14_file, tmp_path
     ):
-        # the heatmap sweep evaluates every band, so it cross-checks the
-        # pruned report byte for byte
+        # the heatmap only adds a field: the rows at delta are exactly
+        # the vertices of the witness pairs
         paths = [square_file, rect14_file]
         for name, knot in (("t23", torus_knot(2, 3, 2)), ("t388", torus_knot(2, 3, 8)),
                            ("r1x99", rectangle(1, 99)), ("rand600", random_polygon(600, 0))):
@@ -90,7 +90,12 @@ class TestCompute:
             head, tail = plain[:-2] + ',"heatmap":', "}\n"
             assert full.startswith(head) and full.endswith(tail), path
             rows = json.loads(full[len(head) : -len(tail)])
-            assert len(rows) == json.loads(plain)["n_edges"], path
+            doc = json.loads(plain)
+            assert len(rows) == doc["n_edges"], path
+            delta = doc["delta"]
+            at_delta = {tuple(r["vertex"]) for r in rows
+                        if r["num"] * delta["den"] == delta["num"] * r["den"]}
+            assert at_delta == {tuple(v) for pair in doc["witnesses"] for v in pair}, path
 
     def test_pretty_is_equivalent(self, capsys, square_file):
         _, compact, _ = run(capsys, ["compute", str(square_file)])
@@ -288,6 +293,17 @@ class TestHeatmapCommand:
         doc = json.loads(out)
         best = max(values, key=lambda nd: nd[0] / nd[1])
         assert best[0] * doc["delta"]["den"] == doc["delta"]["num"] * best[1]
+
+    def test_runs_the_row_sweep_alone(self, capsys, monkeypatch, rect14_file):
+        _, want, _ = run(capsys, ["heatmap", str(rect14_file), "--csv", "-"])
+
+        def refuse(*args):
+            raise AssertionError("the heatmap command ran the branch and bound")
+
+        for name in ("_refine", "_step"):
+            monkeypatch.setattr(engine._Sweep, name, refuse)
+        code, out, _ = run(capsys, ["heatmap", str(rect14_file), "--csv", "-"])
+        assert code == 0 and out == want
 
 
 class TestEnumerate:

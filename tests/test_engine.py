@@ -36,18 +36,19 @@ from conftest import (
     reference_heatmap_rows,
     reference_row_maxima,
     reference_vertex_distortion,
+    reference_vertex_report,
     witness_true_pairs,
 )
 
 
-def full_sweep(knot):
-    """The vertex report of the sweep over every band, the pruned run's reference."""
-    return vertex_distortion_with_heatmap(knot)[0]
+def reference_gromov1(knot):
+    """The curve-wide report extended from the exhaustive vertex report."""
+    return knotdist.engine._gromov1_from_vertex_report(knot, reference_vertex_report(knot))
 
 
-def full_gromov1(knot):
-    """The curve-wide report extended from the sweep over every band."""
-    return knotdist.engine._gromov1_from_vertex_report(knot, full_sweep(knot))
+def all_pairs(knot):
+    """Vertex pairs of the knot; a vertex report below it skipped a band."""
+    return knot.n * (knot.n - 1) // 2
 
 
 class TestVertexDistortion:
@@ -73,7 +74,7 @@ class TestVertexDistortion:
     def test_against_reference_oracle(self, small_corpus):
         for knot in small_corpus:
             want_delta, want_wit = reference_vertex_distortion(knot.true_vertices())
-            for rep in (full_sweep(knot), vertex_distortion(knot)):
+            for rep in (reference_vertex_report(knot), vertex_distortion(knot)):
                 assert rep.delta == want_delta
                 assert witness_true_pairs(rep) == want_wit
 
@@ -96,20 +97,20 @@ class TestVertexDistortion:
         knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
         for knot in knots:
             fast = vertex_distortion(knot)
-            slow = full_sweep(knot)
+            slow = reference_vertex_report(knot)
             assert fast.delta == slow.delta, knot
             assert fast.witnesses == slow.witnesses, knot
             assert fast.pairs_examined <= slow.pairs_examined
 
     def test_index_pairs_match_witnesses(self, small_corpus):
         for knot in small_corpus:
-            for rep in (vertex_distortion(knot), full_sweep(knot)):
+            for rep in (vertex_distortion(knot), reference_vertex_report(knot)):
                 verts = knot.vertices
                 assert {tuple(sorted((verts[i], verts[j]))) for i, j in rep._index_pairs} == set(
                     rep.witnesses
                 )
                 # the index pairs take no part in equality, hashing or repr
-                plain = DistortionReport(rep.delta, rep.witnesses, rep.pairs_examined, rep.pruned)
+                plain = DistortionReport(rep.delta, rep.witnesses, rep.pairs_examined)
                 assert rep == plain and hash(rep) == hash(plain) and repr(rep) == repr(plain)
 
     def test_isometry_invariance(self, small_corpus):
@@ -193,10 +194,11 @@ class TestRefinement:
 
     def test_hairpin_two_bands(self):
         # the antipodal band and band 4999, as the descending cut did
-        rep = vertex_distortion(rectangle(1, 4999))
+        knot = rectangle(1, 4999)
+        rep = vertex_distortion(knot)
         assert rep.delta == 4999
         assert rep.pairs_examined == 15_000
-        assert rep.pruned
+        assert rep.pairs_examined < all_pairs(knot)
 
     def test_square_few_bands(self):
         knot = rectangle(2500, 2500)
@@ -219,7 +221,7 @@ class TestRefinement:
         for knot in knots:
             rep = vertex_distortion(knot)
             assert bands_evaluated(knot, rep) <= knot.n // 2 - math.ceil(rep.delta) + 1, knot
-            assert rep.pruned == (bands_evaluated(knot, rep) < knot.n // 2)
+            assert (rep.pairs_examined < all_pairs(knot)) == (bands_evaluated(knot, rep) < knot.n // 2)
 
 
 class TestBruteForceOracle:
@@ -285,7 +287,7 @@ class TestGromov1:
         knots += [torus_knot(2, 3, 2), torus_knot(2, 3, 3)]
         for knot in knots:
             bf = brute_force_vm_distortion(knot)
-            for g1 in (gromov1_distortion(knot), full_gromov1(knot)):
+            for g1 in (gromov1_distortion(knot), reference_gromov1(knot)):
                 assert g1.delta == bf.delta, (knot, g1)
                 assert g1.witnesses == bf.witnesses, (knot, g1)
 
@@ -295,7 +297,7 @@ class TestGromov1:
         knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
         for knot in knots:
             for g1, sweep in ((gromov1_distortion(knot), vertex_distortion),
-                              (full_gromov1(knot), full_sweep)):
+                              (reference_gromov1(knot), reference_vertex_report)):
                 assert (g1.delta, g1.witnesses) == doubled_vm_distortion(knot, sweep), knot
 
     def test_never_scales(self, monkeypatch, trefoil):
@@ -309,15 +311,16 @@ class TestGromov1:
     def test_pairs_examined_definition(self, unit_square):
         # 6 vertex pairs plus the 2 antipodal midpoint pairs, which alone
         # reach the maximum 2
-        for rep in (gromov1_distortion(unit_square), full_gromov1(unit_square)):
+        for rep in (gromov1_distortion(unit_square), reference_gromov1(unit_square)):
             assert rep.pairs_examined == 8
-            assert rep.pruned is False
-        assert vertex_distortion(unit_square).delta == 1
+        vert = vertex_distortion(unit_square)
+        assert vert.delta == 1
+        assert vert.pairs_examined == all_pairs(unit_square)
         # the pruned sweep of the 1x4 rectangle stops early
         rect = rectangle(1, 4)
         vert = vertex_distortion(rect)
         rep = gromov1_distortion(rect)
-        assert rep.pruned and vert.pruned
+        assert vert.pairs_examined < all_pairs(rect)
         assert rep.pairs_examined == vert.pairs_examined + rect.n // 2
 
     def test_scale_stability(self, small_corpus, trefoil):
@@ -465,7 +468,25 @@ class TestHeatmap:
         for knot in small_corpus:
             rep, rows = vertex_distortion_with_heatmap(knot)
             assert max(r.value for r in rows) == rep.delta
-            assert rep == brute_force_vm_distortion(knot, vertices_only=True)
+            brute = brute_force_vm_distortion(knot, vertices_only=True)
+            assert (rep.delta, rep.witnesses) == (brute.delta, brute.witnesses)
+
+    def test_report_is_the_vertex_report(self, small_corpus):
+        for knot in block_knots(small_corpus):
+            rep, _ = vertex_distortion_with_heatmap(knot)
+            want = vertex_distortion(knot)
+            assert rep == want, knot
+            assert rep.pairs_examined == want.pairs_examined
+            assert rep._index_pairs == want._index_pairs, knot
+
+    def test_heatmap_runs_the_row_sweep_alone(self, monkeypatch, small_corpus):
+        def refuse(*args):
+            raise AssertionError("heatmap ran the branch and bound")
+
+        want = [heatmap(knot) for knot in small_corpus]
+        for name in ("_refine", "_step"):
+            monkeypatch.setattr(knotdist.engine._Sweep, name, refuse)
+        assert [heatmap(knot) for knot in small_corpus] == want
 
     def test_1x4_peak_row(self):
         rows = heatmap(rectangle(1, 4))
@@ -534,15 +555,14 @@ def sweep_blocks(monkeypatch, knot, width, run):
 
 
 class TestBlockedSweep:
-    def test_blocks_cover_every_band_descending(self, monkeypatch):
+    def test_blocks_cover_every_band_once(self, monkeypatch):
         knot = random_polygon(120, 1)
         for width, want in ((1, 60), (2, 30), (7, 9), (31, 2), (60, 1), (500, 1)):
-            _, blocks = sweep_blocks(monkeypatch, knot, width, full_sweep)
-            # bands 60 .. 1 in contiguous blocks from the top; only the last is short
+            _, blocks = sweep_blocks(monkeypatch, knot, width, heatmap)
+            # bands 1 .. 60 each in exactly one block, in any order; only one block is short
             assert len(blocks) == want
-            assert blocks[0][1] == 61 and blocks[-1][0] == 1
-            assert all(a[0] == b[1] for a, b in zip(blocks, blocks[1:]))
-            widths = [d1 - d0 for d0, d1 in blocks]
+            assert sorted(d for d0, d1 in blocks for d in range(d0, d1)) == list(range(1, 61))
+            widths = sorted((d1 - d0 for d0, d1 in blocks), reverse=True)
             assert set(widths[:-1]) <= {min(width, 60)} and widths[-1] <= min(width, 60)
         _, blocks = sweep_blocks(monkeypatch, knot, None, vertex_distortion)
         assert all(d1 == d0 + 1 for d0, d1 in blocks)
@@ -551,12 +571,12 @@ class TestBlockedSweep:
         for knot in block_knots(small_corpus):
             brute = reference_row_maxima(knot)
             assert reference_heatmap_rows(knot) == brute, knot
-            full = full_sweep(knot)
+            want = vertex_distortion(knot)
             for width in block_widths(knot):
                 (rep, heat), _ = sweep_blocks(monkeypatch, knot, width,
                                               vertex_distortion_with_heatmap)
                 assert [r.value for r in heat] == brute, (knot, width)
-                assert rep == full, (knot, width)
+                assert rep == want, (knot, width)
 
     def test_sweeps_agree_across_block_boundaries(self, monkeypatch, small_corpus):
         for knot in block_knots(small_corpus):
@@ -564,10 +584,9 @@ class TestBlockedSweep:
             pruned = vertex_distortion(knot)
             assert (pruned.delta, pruned.witnesses) == (brute.delta, brute.witnesses), knot
             for width in block_widths(knot):
-                full, _ = sweep_blocks(monkeypatch, knot, width, full_sweep)
+                full, _ = sweep_blocks(monkeypatch, knot, width, reference_vertex_report)
                 assert full.delta == brute.delta, (knot, width)
                 assert full.witnesses == brute.witnesses, (knot, width)
-                assert full.pairs_examined == brute.pairs_examined, (knot, width)
                 assert full._index_pairs == pruned._index_pairs, (knot, width)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knotdist.lattice
 from knotdist import (
     Axis,
     InvalidKnotError,
@@ -24,7 +25,6 @@ from knotdist import (
     transform,
     validate,
     vertex_distortion,
-    vertex_distortion_with_heatmap,
 )
 from knotdist.engine import _gromov1_from_vertex_report
 from knotdist.report import build_report
@@ -33,6 +33,7 @@ from conftest import (
     reference_edges,
     reference_offset_table,
     reference_validate,
+    reference_vertex_report,
 )
 
 UNIT_SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
@@ -120,6 +121,48 @@ class TestInt64Limits:
         assert result == reference_validate(far)
 
 
+class TestNonIntegerInput:
+    """Coordinates that are not integers are refused, never truncated."""
+
+    ALMOST = [(0.9, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    HALF = [(0.5, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    TEXT = [("0", "0", "0"), ("1", "0", "0"), ("1", "1", "0"), ("0", "1", "0")]
+
+    @pytest.mark.parametrize("vertices", [ALMOST, HALF, TEXT, [(1j, 0, 0)] + UNIT_SQUARE[1:],
+                                          [(2**70, 0.5, 0)] + UNIT_SQUARE[1:]])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_from_true_and_validate(self, vertices, as_array):
+        if as_array:
+            vertices = np.array(vertices)
+        for entry in (LatticeKnot.from_true, validate):
+            with pytest.raises(ValueError, match="must be integers"):
+                entry(vertices)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_knot_from_doubled_coordinates(self, as_array):
+        points = [(0.5, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
+        with pytest.raises(ValueError, match="must be integers"):
+            LatticeKnot(np.array(points) if as_array else points)
+
+    @pytest.mark.parametrize("translate", [(0.5, 0, 0), (1.0, 0, 0), np.array([0, 0.5, 0])])
+    def test_transform(self, translate):
+        with pytest.raises(ValueError, match="must be integers"):
+            transform(rectangle(1, 1), translate=translate)
+
+    def test_integer_inputs_still_accepted(self):
+        for vertices in (UNIT_SQUARE, np.array(UNIT_SQUARE, dtype=np.int8),
+                         np.array(UNIT_SQUARE, dtype=np.uint16),
+                         np.array(UNIT_SQUARE, dtype=object),
+                         [tuple(np.int32(c) for c in v) for v in UNIT_SQUARE]):
+            assert validate(vertices).ok
+            assert LatticeKnot.from_true(vertices) == rectangle(1, 1)
+        assert transform(rectangle(1, 1), translate=(np.int64(1), 0, 0)).coords[0].tolist() == [2, 0, 0]
+
+    def test_int64_array_passes_through(self):
+        a = np.array(UNIT_SQUARE, dtype=np.int64)
+        assert knotdist.lattice._coordinate_array(a) is a
+
+
 class TestCoords:
     def test_from_true_seeds_read_only_coords(self):
         knot = LatticeKnot.from_true(np.array(UNIT_SQUARE))
@@ -140,7 +183,7 @@ class TestCoords:
         knot = LatticeKnot.from_true(moved.true_vertices())
         before = knot.coords.copy()
         build_report(knot, with_heatmap=True)
-        _gromov1_from_vertex_report(knot, vertex_distortion_with_heatmap(knot)[0])
+        _gromov1_from_vertex_report(knot, reference_vertex_report(knot))
         heatmap(knot)
         assert np.array_equal(knot.coords, before)
 
