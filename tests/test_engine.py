@@ -221,7 +221,8 @@ class TestRefinement:
         for knot in knots:
             rep = vertex_distortion(knot)
             assert bands_evaluated(knot, rep) <= knot.n // 2 - math.ceil(rep.delta) + 1, knot
-            assert (rep.pairs_examined < all_pairs(knot)) == (bands_evaluated(knot, rep) < knot.n // 2)
+            skipped = bands_evaluated(knot, rep) < knot.n // 2
+            assert (rep.pairs_examined < all_pairs(knot)) == skipped, knot
 
 
 class TestBruteForceOracle:
@@ -475,8 +476,8 @@ class TestHeatmap:
         for knot in block_knots(small_corpus):
             rep, _ = vertex_distortion_with_heatmap(knot)
             want = vertex_distortion(knot)
+            # field for field: delta, witnesses and pairs_examined
             assert rep == want, knot
-            assert rep.pairs_examined == want.pairs_examined
             assert rep._index_pairs == want._index_pairs, knot
 
     def test_heatmap_runs_the_row_sweep_alone(self, monkeypatch, small_corpus):

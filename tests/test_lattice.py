@@ -156,7 +156,8 @@ class TestNonIntegerInput:
                          [tuple(np.int32(c) for c in v) for v in UNIT_SQUARE]):
             assert validate(vertices).ok
             assert LatticeKnot.from_true(vertices) == rectangle(1, 1)
-        assert transform(rectangle(1, 1), translate=(np.int64(1), 0, 0)).coords[0].tolist() == [2, 0, 0]
+        moved = transform(rectangle(1, 1), translate=(np.int64(1), 0, 0))
+        assert moved.coords[0].tolist() == [2, 0, 0]
 
     def test_int64_array_passes_through(self):
         a = np.array(UNIT_SQUARE, dtype=np.int64)
