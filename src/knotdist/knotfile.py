@@ -9,14 +9,19 @@ them.  parse_vertices reads the vertex list only, as an (n, 3) integer
 array; parse_knot also validates it.  Error messages cite line numbers.
 
 A well-formed vertex file is read without a loop over its lines: one
-regex match checks the whole text, and its tokens are converted in one
-pass.  Only a file that fails that match, or uses the move form, is read
-line by line, which names the first bad line.
+regex match checks the whole text, and numpy's text-mode fromstring
+converts its tokens in C.  Its result is trusted only when fromstring
+read the text to its end and no value is an int64 extreme, where it
+saturates tokens outside int64; otherwise the tokens are split off and
+converted exactly by int(), which also reads Unicode digits and
+separators.  Only a file that fails that match, or uses the move form,
+is read line by line, which names the first bad line.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -26,6 +31,7 @@ from .lattice import UNIT_STEPS, LatticeKnot
 
 HEADER = "latticeknot v1"
 
+_INT64 = np.iinfo(np.int64)
 _MOVE_STEPS = dict(zip("XxYyZz", UNIT_STEPS))
 _MOVE_OF_STEP = {v: k for k, v in _MOVE_STEPS.items()}
 # the line boundaries of str.splitlines; \r\n is two of them here, which
@@ -75,12 +81,23 @@ def parse_vertices(text: str) -> np.ndarray:
     # numbers of errors come from the original text
     code = _COMMENT_RE.sub("", text) if "#" in text else text
     if _VERTEX_FILE_RE.fullmatch(code):
-        tokens = code.split()
-        del tokens[:2]  # the header
+        body = code[code.index(HEADER) + len(HEADER):]
         try:
-            flat = np.fromiter(map(int, tokens), np.int64, len(tokens))
-        except OverflowError:
-            flat = np.array(list(map(int, tokens)), dtype=object)
+            with warnings.catch_warnings():
+                # numpy releases that only deprecate unmatched data warn and
+                # return a short read; the reading must fail instead
+                warnings.simplefilter("error", DeprecationWarning)
+                flat = np.fromstring(body, np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            flat = None
+        # fromstring saturates a token outside int64 to an int64 extreme,
+        # not always of its own sign, so any extreme is read again exactly
+        if flat is None or flat.min() == _INT64.min or flat.max() == _INT64.max:
+            tokens = body.split()
+            try:
+                flat = np.fromiter(map(int, tokens), np.int64, len(tokens))
+            except OverflowError:
+                flat = np.array(list(map(int, tokens)), dtype=object)
         return flat.reshape(-1, 3)
     lines = _significant_lines(text)
     if not lines:

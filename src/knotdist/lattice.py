@@ -168,9 +168,11 @@ def validate(vertices: TrueVertices) -> ValidationResult:
         violations.append(
             Violation("odd_length", (n,), f"{n} edges; closed lattice polygons have even length")
         )
-    step = np.abs(np.roll(a, -1, axis=0) - a)
+    # one contiguous row per axis: each test below is a pass over n values
+    c = np.ascontiguousarray(a.T)
+    dx, dy, dz = np.abs(np.roll(c, -1, axis=1) - c)
     # each axis at most 1 before summing: three large steps can wrap to 1
-    unit = (step <= 1).all(axis=1) & (step.sum(axis=1) == 1)
+    unit = (dx <= 1) & (dy <= 1) & (dz <= 1) & (dx + dy + dz == 1)
     for i in np.nonzero(~unit)[0].tolist():
         j = (i + 1) % n
         violations.append(
@@ -181,10 +183,10 @@ def validate(vertices: TrueVertices) -> ValidationResult:
             )
         )
     # a stable sort puts each vertex's first occurrence at the head of its group
-    order = np.lexsort(a.T[::-1])
-    ranked = a[order]
+    order = np.lexsort(c[::-1])
+    x, y, z = c.take(order, axis=1)
     repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    repeat[1:] = (x[1:] == x[:-1]) & (y[1:] == y[:-1]) & (z[1:] == z[:-1])
     head = np.maximum.accumulate(np.where(repeat, 0, np.arange(n)))
     later = order[repeat]
     first = order[head[repeat]]
@@ -244,11 +246,18 @@ class LatticeKnot:
         """
         if not isinstance(vertices, np.ndarray):
             vertices = list(vertices)
-        a = _true_coords(vertices)
+        # validate passes this int64 array through; its range check is the only one
+        a = _coordinate_array(vertices)
         result = validate(a)
         if not result:
             raise InvalidKnotError(result)
-        return cls(a * 2)
+        # a valid knot's coordinates are int64 within _TRUE_LIMIT: doubling
+        # them makes the one copy, which no caller holds
+        coords = a * 2
+        coords.flags.writeable = False
+        knot = object.__new__(cls)
+        object.__setattr__(knot, "coords", coords)
+        return knot
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeKnot):

@@ -36,6 +36,12 @@ SQUARE_FILE = """latticeknot v1
 """
 
 
+def square_file(gap=" ", end="\n"):
+    """SQUARE_FILE's vertices, with gap between tokens and end after lines."""
+    rows = ["latticeknot v1", "0 0 0", "1 0 0", "1 1 0", "0 1 0"]
+    return end.join([rows[0]] + [row.replace(" ", gap) for row in rows[1:]]) + end
+
+
 class TestParse:
     def test_vertex_form(self):
         knot = parse_knot(SQUARE_FILE)
@@ -220,6 +226,17 @@ class TestAgainstReferenceParser:
             "latticeknot v1\n0 0 0\n1 0 0\n1 1 0\n0 1 0 5\n",
             "latticeknot v1 # v1\n\u0661 0 0\n2 0 0\n2 1 0\n1 1 0\n",
             "latticeknot v1\n%d 0 0\n1 0 0\n" % 2**64,
+            # tokens at and past the int64 extremes, which fromstring saturates
+            *("latticeknot v1\n%d %d 0\n1 0 0\n" % (v, -v)
+              for v in (2**63 - 1, 2**63, 2**63 + 1, 10**20 - 1)),
+            "latticeknot v1\n-99999999999999999999 0 0\n1 0 0\n",
+            "latticeknot v1\n+0 -0 000\n+1 -0 0\n001 +1 -0\n-0000 1 0\n",
+            "latticeknot v1\n-0009 0 0\n-8 0 0\n-08 007 0\n-0009 +7 0\n",
+            # a Unicode digit and separators that fromstring refuses
+            "latticeknot v1\n\u0660 0 0\n1 0 0\n1 1 0\n0 1 0\n",
+            square_file("\xa0"),
+            square_file("\u3000"),
+            square_file(end="\x1c"),
             "latticeknot v1\nmoves: XYxy\n",
             "latticeknot v1\nmoves: XY xy\n",
             "latticeknot v1\n\n",
@@ -239,12 +256,42 @@ class TestAgainstReferenceParser:
         with pytest.raises(AssertionError):
             parse_knot("latticeknot v1\nmoves: XYxy\n")
 
+    def test_ascii_files_skip_the_token_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tokens were converted one by one")
+
+        monkeypatch.setattr(np, "fromiter", refuse)
+        knot = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
+        text = "# six digits\n" + serialize_vertices(knot).replace("\n", " # v\r\n")
+        assert parse_knot(text) == knot
+        for text in [
+            "latticeknot v1\n\u0661 0 0\n2 0 0\n2 1 0\n1 1 0\n",
+            square_file("\xa0"),
+            square_file("\u3000"),
+            square_file(end="\x1c"),
+            "latticeknot v1\n9223372036854775807 0 0\n",
+            "latticeknot v1\n-9223372036854775808 0 0\n",
+        ]:
+            with pytest.raises(AssertionError):
+                parse_vertices(text)
+
     def test_overflowing_tokens_stay_exact(self):
-        big = 2**64 + 1
-        got = parse_vertices(f"latticeknot v1\n{big} -{big} 0\n")
+        for big in (2**63, 2**63 + 1, 2**64 + 1, 10**20 - 1):
+            got = parse_vertices(f"latticeknot v1\n{big} -{big} 0\n")
+            assert got.dtype == object
+            assert got.tolist() == [[big, -big, 0]]
+        # fromstring reads this token as +(2**63 - 1)
+        got = parse_vertices("latticeknot v1\n-99999999999999999999 0 1\n")
         assert got.dtype == object
-        assert got.tolist() == [[big, -big, 0]]
-        assert parse_vertices("latticeknot v1\n-9223372036854775808 0 1\n").dtype == np.int64
+        assert got.tolist() == [[-99999999999999999999, 0, 1]]
+        for edge in (2**63 - 1, -(2**63 - 1), -(2**63)):
+            got = parse_vertices(f"latticeknot v1\n{edge} 0 1\n")
+            assert got.dtype == np.int64
+            assert got.tolist() == [[edge, 0, 1]]
+        square = "".join(f"{x - 10**20} {y} 0\n" for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(InvalidKnotError) as caught:
+            parse_knot("latticeknot v1\n" + square)
+        assert caught.value.result.codes() == {"out_of_range"}
 
 
 def test_parse_peak_memory_within_reference():

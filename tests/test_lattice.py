@@ -174,6 +174,25 @@ class TestCoords:
         assert knot.vertices[1] == LatticePoint(2, 0, 0)
         assert type(knot.vertices[1]) is LatticePoint
 
+    def test_from_true_checks_once_and_copies_once(self, monkeypatch):
+        checked = []
+        true_coords = knotdist.lattice._true_coords
+
+        def counted(vertices):
+            checked.append(len(vertices))
+            return true_coords(vertices)
+
+        def refuse(self):
+            raise AssertionError("from_true copied its doubled coordinates again")
+
+        monkeypatch.setattr(knotdist.lattice, "_true_coords", counted)
+        monkeypatch.setattr(LatticeKnot, "__post_init__", refuse)
+        a = np.array(UNIT_SQUARE)
+        knot = LatticeKnot.from_true(a)
+        assert checked == [4]
+        assert not knot.coords.flags.writeable and not np.shares_memory(knot.coords, a)
+        assert knot.coords.tolist() == (2 * a).tolist()
+
     def test_other_knots_compute_coords_on_use(self):
         moved = transform(rectangle(2, 3), translate=(5, -1, 2**40))
         assert not moved.coords.flags.writeable

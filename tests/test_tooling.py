@@ -6,7 +6,11 @@ import collections
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import knotdist
 import knotdist.engine
@@ -72,6 +76,25 @@ def test_heatmap_output_builds_nothing_per_row(monkeypatch, capsys, tmp_path):
     assert cli.main(["heatmap", str(path), "--csv", "-"]) == 0
     assert capsys.readouterr().out.count("\n") == 401
     assert calls == {}
+
+
+def test_numpy_fromstring_contract():
+    # knotfile.parse_vertices trusts np.fromstring's int64 text reading on
+    # these two rules; a numpy that broke one would misread coordinates
+    # without an error, so it must fail here instead
+    extremes = {np.iinfo(np.int64).min, np.iinfo(np.int64).max}
+    out_of_range = [2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 10**20 - 1, 10**40]
+    out_of_range += [-v for v in out_of_range] + [-(2**63) - 1]
+    got = np.fromstring(" ".join(map(str, out_of_range)), np.int64, sep=" ")
+    assert len(got) == len(out_of_range)
+    assert set(got.tolist()) <= extremes  # saturated, never wrapped
+    for text in ["1 \x1c 2", "1\x1f2", "1\x852", "1\xa02", "1\u20282", "1\u30002",
+                 "\u0661 2", "1 \ud800 2", "1 2 x"]:
+        # unmatched data raises, or warns as parse_vertices turns into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises((ValueError, DeprecationWarning)):
+                np.fromstring(text, np.int64, sep=" ")
 
 
 def load_perfbench(monkeypatch, name):
