@@ -246,7 +246,7 @@ class LatticeKnot:
         """
         if not isinstance(vertices, np.ndarray):
             vertices = list(vertices)
-        # validate passes this int64 array through; its range check is the only one
+        # validate passes an int64 array through, so its range check is the only one
         a = _coordinate_array(vertices)
         result = validate(a)
         if not result:
