@@ -8,14 +8,14 @@ X x Y y Z z (uppercase steps +1, lowercase -1) starting at the origin.
 them.  parse_vertices reads the vertex list only, as an (n, 3) integer
 array; parse_knot also validates it.  Error messages cite line numbers.
 
-A well-formed vertex file is read without a loop over its lines: one
-regex match checks the whole text, and numpy's text-mode fromstring
-converts its tokens in C.  Its result is trusted only when fromstring
-read the text to its end and no value is an int64 extreme, where it
-saturates tokens outside int64; otherwise the tokens are split off and
-converted exactly by int(), which also reads Unicode digits and
-separators.  Only a file that fails that match, or uses the move form,
-is read line by line, which names the first bad line.
+A vertex file is read one of two ways.  When one regex match checks the
+whole text, numpy's text-mode fromstring converts its tokens in C; that
+read is kept only when fromstring reached the end of the text and no
+value is an int64 extreme, where it saturates tokens outside int64.
+Every other text (Unicode digits or separators, tokens at or past the
+int64 extremes, the move form, a syntax error) is read line by line,
+which names the first bad line and converts with int() only once every
+line has passed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lattice import UNIT_STEPS, LatticeKnot
+from .lattice import UNIT_STEPS, LatticeKnot, _coordinate_array
 
 HEADER = "latticeknot v1"
 
@@ -71,8 +71,9 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 def parse_vertices(text: str) -> np.ndarray:
     """Parse either file form into its true vertices, unvalidated.
 
-    Returns an (n, 3) integer array: int64, or Python ints in an object
-    array when a coordinate does not fit in 64 bits.  Raises
+    Returns an (n, 3) integer array: int64, or, from the line reader,
+    Python ints in an object array when a coordinate does not fit in 64
+    bits.  Raises
     KnotFileError on syntax problems or a move string that does not
     close; whether the vertices form a lattice knot is left to
     :func:`validate`.
@@ -91,14 +92,9 @@ def parse_vertices(text: str) -> np.ndarray:
         except (ValueError, DeprecationWarning):
             flat = None
         # fromstring saturates a token outside int64 to an int64 extreme,
-        # not always of its own sign, so any extreme is read again exactly
-        if flat is None or flat.min() == _INT64.min or flat.max() == _INT64.max:
-            tokens = body.split()
-            try:
-                flat = np.fromiter(map(int, tokens), np.int64, len(tokens))
-            except OverflowError:
-                flat = np.array(list(map(int, tokens)), dtype=object)
-        return flat.reshape(-1, 3)
+        # not always of its own sign, so a read with an extreme is not trusted
+        if flat is not None and flat.min() != _INT64.min and flat.max() != _INT64.max:
+            return flat.reshape(-1, 3)
     lines = _significant_lines(text)
     if not lines:
         raise KnotFileError("empty file; expected header " + repr(HEADER))
@@ -117,7 +113,9 @@ def parse_vertices(text: str) -> np.ndarray:
             raise KnotFileError(
                 f"expected three signed integers separated by spaces, found {line!r}", no
             )
-    raise AssertionError("the file pattern rejected a vertex file whose every line parses")
+    # converted only once every line has passed, so that a syntax error is
+    # reported before int() refuses a token past its digit limit
+    return _coordinate_array([[int(t) for t in line.split()] for _, line in body])
 
 
 def parse_knot(text: str) -> LatticeKnot:

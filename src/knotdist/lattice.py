@@ -307,6 +307,8 @@ class LatticeKnot:
         return list(map(tuple, (self.coords // 2).tolist()))
 
     def __repr__(self) -> str:
+        if not self.n:
+            return "LatticeKnot(n=0)"
         return f"LatticeKnot(n={self.n}, start={LatticePoint(*self.coords[0].tolist())!r})"
 
 

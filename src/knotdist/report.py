@@ -21,7 +21,7 @@ from .engine import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
-from .lattice import LatticeKnot
+from .lattice import LatticeKnot, LatticePoint
 from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
@@ -44,9 +44,16 @@ def ratio_doc(value: Fraction) -> dict:
     }
 
 
+def _true_doc(point: LatticePoint) -> list:
+    # as_true's halves are floats, which hold a half-integer exactly only
+    # below 2**52; the document keeps them as Fractions
+    return [t if isinstance(t, int) else Fraction(c, 2) for c, t in zip(point, point.as_true())]
+
+
 def witness_docs(report: DistortionReport) -> list:
-    pairs = sorted((a.as_true(), b.as_true()) for a, b in report.witnesses)
-    return [[a, b] for a, b in pairs]
+    """Witness pairs in true coordinates, sorted; a half-integer coordinate
+    is a Fraction, which render_json writes as exact decimal text."""
+    return [[_true_doc(a), _true_doc(b)] for a, b in sorted(report.witnesses)]
 
 
 def _heatmap_columns(heat: Heatmap) -> Iterator[tuple[int, list, int, int, str]]:
@@ -119,10 +126,26 @@ def build_gromov1_report(knot: LatticeKnot) -> dict:
     }
 
 
+def _half_text(value: Fraction) -> str:
+    """A half-integer's exact decimal between NULs, which render_json
+    removes with the quotes json.dumps puts around the string."""
+    if not isinstance(value, Fraction) or value.denominator != 2:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    sign = "-" if value < 0 else ""
+    return f"\0{sign}{abs(value.numerator) // 2}.5\0"
+
+
 def render_json(doc: dict, pretty: bool = False) -> str:
     if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, indent=2, default=_half_text)
+    else:
+        text = json.dumps(doc, separators=(",", ":"), default=_half_text)
+    # json.dumps writes a float with float.__repr__, which rounds a
+    # half-integer past 2**52, so halves pass through it as marked strings;
+    # only those marks put a backslash in a report
+    if "\\" in text:
+        text = text.replace('"\\u0000', "").replace('\\u0000"', "")
+    return text + "\n"
 
 
 def heatmap_csv(heat: Heatmap) -> str:

@@ -369,6 +369,17 @@ class TestErrors:
             assert (code, out) == (1, "")
             assert "exceeds the coordinate range" in err
 
+    @pytest.mark.parametrize("rest, message", [("bad line", "line 3: expected"),
+                                               ("1 0 0", "Exceeds the limit")])
+    def test_digit_limit_exit_one(self, capsys, tmp_path, rest, message):
+        # a token past int()'s 4,300 digits is an error, not a traceback
+        path = tmp_path / "long.knot"
+        path.write_text(f"latticeknot v1\n{'9' * 5000} 0 0\n{rest}\n", encoding="utf-8")
+        code, out, err = run(capsys, ["compute", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch, square_file):
     def rebuild():

@@ -61,6 +61,10 @@ def write_files(root: Path) -> None:
         "rect1x99.knot": serialize_vertices(rectangle(1, 99)),
         "random600.knot": serialize_vertices(random_polygon(600, 0)),
         "huge.knot": serialize_vertices(transform(rectangle(1, 1), translate=(3 * 2**60, 0, 0))),
+        # gromov1 witnesses at half-integers that a float cannot hold
+        "far60.knot": serialize_vertices(
+            transform(rectangle(1, 1), translate=(2**60, -(2**60) - 1, 0))
+        ),
         "syntax.knot": "latticeknot v1\n0 0\n",
         "embedded.knot": "latticeknot v1\n0 0 0\n1 0 0\n0 0 0\n0 1 0\n",
         "open.knot": "latticeknot v1\n0 0 0\n2 0 0\n2 1 0\n0 1 0\n0 0 1\n",
@@ -97,6 +101,8 @@ def cases() -> list[list[str]]:
         ["scale", "square.knot", "--factor", "2", "--form", "xml"],
         ["scale", "huge.knot", "--factor", "2"],
         ["compute", "huge.knot"],
+        ["gromov1", "far60.knot"],
+        ["gromov1", "--pretty", "far60.knot"],
         ["heatmap", "rect23.knot", "--csv", "out.csv"],
         ["heatmap", "rect23.knot"],
         ["generate", "--kind", "rectangle"],

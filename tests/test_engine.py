@@ -2,7 +2,9 @@
 exactness, doubling behavior, heatmap consistency."""
 
 import dataclasses
+import decimal
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -30,7 +32,9 @@ from knotdist import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
-from knotdist.report import build_report, format_decimal, heatmap_csv, heatmap_docs, render_json
+from knotdist.report import (
+    build_gromov1_report, build_report, format_decimal, heatmap_csv, heatmap_docs, render_json,
+)
 from conftest import (
     reference_euclidean_bound,
     reference_heatmap_rows,
@@ -382,6 +386,19 @@ class TestBuildReport:
             for flags in ({}, {"with_heatmap": True}):
                 g1 = build_report(knot, **flags)["gromov1"]
                 assert Fraction(g1["num"], g1["den"]) == delta, (knot, flags)
+
+    def test_far_gromov1_witnesses_are_exact(self):
+        # a float rounds half-integers past 2**52; the JSON must not
+        for shift in (0, 2**52, 2**60, -(2**60), 2**62 - 8):
+            knot = transform(rectangle(1, 1), translate=(shift, -shift - 1, 3 - shift))
+            want = [[[Fraction(c, 2) for c in p] for p in pair]
+                    for pair in sorted(gromov1_distortion(knot).witnesses)]
+            halves = {c for pair in want for p in pair for c in p if c.denominator == 2}
+            assert min(halves) < 0 < max(halves)
+            doc = build_gromov1_report(knot)
+            for pretty in (False, True):
+                got = json.loads(render_json(doc, pretty), parse_float=decimal.Decimal)
+                assert got["witnesses"] == want, (shift, pretty)
 
     def test_heatmap_rendering_matches_per_row_formatting(self):
         # rows with exact halves at the seventh decimal place round to even

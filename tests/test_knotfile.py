@@ -246,34 +246,58 @@ class TestAgainstReferenceParser:
         ]:
             self.check(text)
 
-    def test_valid_files_skip_the_line_loop(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("a well-formed vertex file was read line by line")
+    def test_reader_boundary(self, monkeypatch):
+        # ASCII vertex files are read by fromstring alone; every other text
+        # goes to the line reader, which must agree with the reference
+        read = []
 
-        monkeypatch.setattr(knotdist.knotfile, "_significant_lines", refuse)
-        text = "# c\r\n latticeknot v1 #\r\n\r\n0\t0 0 # a\x851 0 0\n1 1 0\u20280 1 0\n"
-        assert parse_knot(text) == rectangle(1, 1)
-        with pytest.raises(AssertionError):
-            parse_knot("latticeknot v1\nmoves: XYxy\n")
+        def significant_lines(text):
+            read.append(text)
+            return real(text)
 
-    def test_ascii_files_skip_the_token_loop(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the tokens were converted one by one")
-
-        monkeypatch.setattr(np, "fromiter", refuse)
-        knot = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
-        text = "# six digits\n" + serialize_vertices(knot).replace("\n", " # v\r\n")
-        assert parse_knot(text) == knot
+        real = knotdist.knotfile._significant_lines
+        monkeypatch.setattr(knotdist.knotfile, "_significant_lines", significant_lines)
+        six_digits = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
+        far = transform(random_polygon(12, 5), translate=(2**30, -(2**30), 2**30 + 1))
+        for text in [
+            "# six digits\n" + serialize_vertices(six_digits).replace("\n", " # v\r\n"),
+            serialize_vertices(far),
+            square_file("\t"),
+            square_file(end="\n\n \n"),
+            "latticeknot v1\n%d %d 0\n" % (2**63 - 2, -(2**63 - 2)),
+            "latticeknot v1\n%d 0 0\n" % -(2**63 - 1),
+        ]:
+            assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
+            assert read == [], repr(text)
         for text in [
             "latticeknot v1\n\u0661 0 0\n2 0 0\n2 1 0\n1 1 0\n",
             square_file("\xa0"),
             square_file("\u3000"),
+            square_file("\x1f"),
             square_file(end="\x1c"),
-            "latticeknot v1\n9223372036854775807 0 0\n",
-            "latticeknot v1\n-9223372036854775808 0 0\n",
+            square_file(end="\x85"),
+            square_file(end="\u2028"),
+            "latticeknot v1\n%d %d 0\n" % (2**63 - 1, -(2**63 - 1)),
+            "latticeknot v1\n%d 0 0\n" % -(2**63),
+            "latticeknot v1\n%d %d 0\n" % (2**63, -(2**64 + 1)),
+            "latticeknot v1\nmoves: XYxy\n",
+            "latticeknot v1\n0 0 0\n1 0 zero\n",
         ]:
-            with pytest.raises(AssertionError):
-                parse_vertices(text)
+            read.clear()
+            assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
+            assert read == [text], repr(text)
+
+    def test_digit_limit_comes_after_syntax(self):
+        # int() refuses tokens of more than 4,300 digits; the line reader
+        # converts only after every line has passed, so a later syntax
+        # error is still the one reported
+        big = "9" * 5000
+        with pytest.raises(KnotFileError) as caught:
+            parse_vertices(f"latticeknot v1\n{big} 0 0\nbad line\n")
+        assert caught.value.line == 3
+        with pytest.raises(ValueError, match="4300") as caught:
+            parse_vertices(f"latticeknot v1\n{big} 0 0\n1 0 0\n")
+        assert type(caught.value) is ValueError
 
     def test_overflowing_tokens_stay_exact(self):
         for big in (2**63, 2**63 + 1, 2**64 + 1, 10**20 - 1):

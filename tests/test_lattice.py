@@ -272,6 +272,7 @@ class TestKnotContract:
         assert repr(transform(rectangle(1, 2), translate=(3, 0, -1))) == (
             "LatticeKnot(n=6, start=LatticePoint(3, 0, -1))"
         )
+        assert repr(LatticeKnot([])) == "LatticeKnot(n=0)"
 
     def test_two_coordinate_points_rejected(self):
         flat = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])

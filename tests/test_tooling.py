@@ -5,6 +5,7 @@ import ast
 import collections
 import importlib.util
 import json
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -14,7 +15,9 @@ import pytest
 
 import knotdist
 import knotdist.engine
-from knotdist import LatticePoint, cli, random_polygon, report, serialize_vertices, torus_knot
+from knotdist import (
+    LatticePoint, cli, generators, knotfile, random_polygon, report, serialize_vertices, torus_knot,
+)
 from test_cli_golden import cases
 
 PACKAGE = Path(knotdist.__file__).resolve().parent
@@ -105,6 +108,24 @@ def load_perfbench(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_files_take_the_c_path(monkeypatch):
+    # a benchmark file read line by line would time the slow reader, which
+    # only rare text (Unicode, int64 extremes, errors) should reach
+    corpus = load_perfbench(monkeypatch, "corpus")
+
+    def refuse(text):
+        raise AssertionError("a benchmark file was read line by line")
+
+    monkeypatch.setattr(knotfile, "_significant_lines", refuse)
+    for name, workload in corpus.WORKLOADS.items():
+        rng = random.Random(f"perfbench:{name}:1")  # perfbench/run.py's draw at seed 1
+        for base in workload.full:
+            vertices = corpus.generate(base, generators)
+            sym = corpus.Symmetry.draw(rng, len(vertices), base.far)
+            got = knotfile.parse_vertices(corpus.knot_text(vertices, sym))
+            assert got.shape == (len(vertices), 3), base.name
 
 
 def test_benchmark_entry_points_exist(monkeypatch):
