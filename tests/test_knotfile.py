@@ -249,17 +249,18 @@ class TestAgainstReferenceParser:
     def test_reader_boundary(self, monkeypatch):
         # ASCII vertex files are read by fromstring alone; every other text
         # goes to the line reader, which must agree with the reference
-        read = []
+        read, real = [], knotdist.knotfile._significant_lines
 
         def significant_lines(text):
             read.append(text)
             return real(text)
 
-        real = knotdist.knotfile._significant_lines
         monkeypatch.setattr(knotdist.knotfile, "_significant_lines", significant_lines)
         six_digits = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
         far = transform(random_polygon(12, 5), translate=(2**30, -(2**30), 2**30 + 1))
+        commented = "# c\r\n latticeknot v1 #\r\n\r\n0\t0 0 # a{}1 0 0\n1 1 0{}0 1 0\n"
         for text in [
+            commented.format("\n", "\r\n"),
             "# six digits\n" + serialize_vertices(six_digits).replace("\n", " # v\r\n"),
             serialize_vertices(far),
             square_file("\t"),
@@ -277,6 +278,7 @@ class TestAgainstReferenceParser:
             square_file(end="\x1c"),
             square_file(end="\x85"),
             square_file(end="\u2028"),
+            commented.format("\x85", "\u2028"),
             "latticeknot v1\n%d %d 0\n" % (2**63 - 1, -(2**63 - 1)),
             "latticeknot v1\n%d 0 0\n" % -(2**63),
             "latticeknot v1\n%d %d 0\n" % (2**63, -(2**64 + 1)),
