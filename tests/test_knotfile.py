@@ -246,9 +246,10 @@ class TestAgainstReferenceParser:
         ]:
             self.check(text)
 
-    def test_reader_boundary(self, monkeypatch):
-        # ASCII vertex files are read by fromstring alone; every other text
-        # goes to the line reader, which must agree with the reference
+    COMMENTED = "# c\r\n latticeknot v1 #\r\n\r\n0\t0 0 # a{}1 0 0\n1 1 0{}0 1 0\n"
+
+    def line_reader_calls(self, monkeypatch):
+        """The texts handed to the line reader from here on."""
         read, real = [], knotdist.knotfile._significant_lines
 
         def significant_lines(text):
@@ -256,11 +257,16 @@ class TestAgainstReferenceParser:
             return real(text)
 
         monkeypatch.setattr(knotdist.knotfile, "_significant_lines", significant_lines)
+        return read
+
+    def test_valid_files_skip_the_line_loop(self, monkeypatch):
+        # ASCII vertex files are read by fromstring alone and must agree
+        # with the reference without reaching the line reader
+        read = self.line_reader_calls(monkeypatch)
         six_digits = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
         far = transform(random_polygon(12, 5), translate=(2**30, -(2**30), 2**30 + 1))
-        commented = "# c\r\n latticeknot v1 #\r\n\r\n0\t0 0 # a{}1 0 0\n1 1 0{}0 1 0\n"
         for text in [
-            commented.format("\n", "\r\n"),
+            self.COMMENTED.format("\n", "\r\n"),
             "# six digits\n" + serialize_vertices(six_digits).replace("\n", " # v\r\n"),
             serialize_vertices(far),
             square_file("\t"),
@@ -270,6 +276,18 @@ class TestAgainstReferenceParser:
         ]:
             assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
             assert read == [], repr(text)
+        assert parse_knot(self.COMMENTED.format("\n", "\r\n")) == rectangle(1, 1)
+        parse_knot("latticeknot v1\nmoves: XYxy\n")
+        assert read == ["latticeknot v1\nmoves: XYxy\n"]
+
+    def test_ascii_files_skip_the_token_loop(self, monkeypatch):
+        # only the texts fromstring refuses or may misread reach the line
+        # reader, whose loop converts the tokens one by one with int()
+        read = self.line_reader_calls(monkeypatch)
+        knot = transform(random_polygon(200, 1), translate=(123456, -654321, 999999))
+        text = "# six digits\n" + serialize_vertices(knot).replace("\n", " # v\r\n")
+        assert parse_knot(text) == knot
+        assert read == []
         for text in [
             "latticeknot v1\n\u0661 0 0\n2 0 0\n2 1 0\n1 1 0\n",
             square_file("\xa0"),
@@ -278,7 +296,7 @@ class TestAgainstReferenceParser:
             square_file(end="\x1c"),
             square_file(end="\x85"),
             square_file(end="\u2028"),
-            commented.format("\x85", "\u2028"),
+            self.COMMENTED.format("\x85", "\u2028"),
             "latticeknot v1\n%d %d 0\n" % (2**63 - 1, -(2**63 - 1)),
             "latticeknot v1\n%d 0 0\n" % -(2**63),
             "latticeknot v1\n%d %d 0\n" % (2**63, -(2**64 + 1)),
