@@ -2,9 +2,13 @@
 
 Rectangles are exact; torus knots are built by densely sampling the
 standard parametric curve, rounding onto the lattice and repairing any
-touch points; random polygons come from a seeded backtracking search;
-and small polygons can be enumerated exhaustively up to the 48 lattice
-isometries, translation, cycle rotation and orientation reversal.
+touch points.  The curve is evaluated in numpy, in fixed chunks of
+samples, and rounds to exactly the points of a scalar loop over math's
+sin and cos: samples that numpy's trig error could round otherwise are
+redone by that loop's expression.  Random polygons come from a seeded
+backtracking search, and small polygons can be enumerated exhaustively up
+to the 48 lattice isometries, translation, cycle rotation and orientation
+reversal.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .knotfile import knot_from_moves
 from .lattice import UNIT_STEPS, InvalidKnotError, LatticeKnot, lattice_isometries
@@ -21,6 +27,19 @@ _STEPS = UNIT_STEPS
 _OPPOSITE = (1, 0, 3, 2, 5, 4)
 
 DEFAULT_TORUS_SCALE = 3
+# radii of the torus the (p, q) curve winds around, before scaling
+_BIG_R, _SMALL_R = 2.0, 1.0
+# curve samples _sample_torus evaluates per numpy call, which bounds its
+# working arrays to about 100 kB whatever the sample count; 2**14 ran no
+# faster and left the process 1.6 MB larger
+_TORUS_CHUNK = 2**12
+# np.sin and np.cos may run SIMD kernels a few ulps away from math.sin and
+# math.cos; allow e = 2**8 ulps of 1 = 2**-44 between them.  A coordinate is
+# w or s times a trig value, w = (2 + cos qt) s and |w| <= 3s, so the two
+# differ by at most s e + 3s e from the trig values, and by at most s 2**-49
+# from the float roundings those move: under s * 2**-41.  Farther than that
+# from a half-integer, both round to the same integer.
+_HALF_MARGIN = 2.0**-41
 # sampling scales torus_knot tries, from the requested one upwards
 _TORUS_SCALES_TRIED = 4
 # touch points _repair_touches detours before giving up on a walk
@@ -49,22 +68,51 @@ def rectangle(m: int, n: int) -> LatticeKnot:
 # -- torus knots ----------------------------------------------------------
 
 
+def _torus_point(p: int, q: int, s: int, samples: int, k: int) -> tuple[int, int, int]:
+    """Sample k of `samples` on the (p, q) torus curve at scale s, rounded
+    with math's sin and cos: the expression _sample_torus reproduces."""
+    t = 2 * math.pi * k / samples
+    w = (_BIG_R + _SMALL_R * math.cos(q * t)) * s
+    return (
+        round(w * math.cos(p * t)),
+        round(w * math.sin(p * t)),
+        round(_SMALL_R * s * math.sin(q * t)),
+    )
+
+
 def _sample_torus(p: int, q: int, s: int) -> list[tuple[int, int, int]]:
-    """Round a dense sampling of the (p, q) torus curve to lattice points."""
-    big_r, small_r = 2.0, 1.0
-    curve_len = 2 * math.pi * math.hypot(p * big_r, q * small_r) * s
+    """Round a dense sampling of the (p, q) torus curve to lattice points,
+    dropping consecutive repeats and a closing repeat of the first point.
+
+    The points are _torus_point's for k = 0 .. samples - 1, evaluated in
+    numpy _TORUS_CHUNK samples at a time with the same float64 operations
+    in the same order; only sin and cos may differ from math's.  A sample
+    with a coordinate within s * _HALF_MARGIN of a half-integer, where that
+    difference could change the rounding, is redone by _torus_point.
+    """
+    curve_len = 2 * math.pi * math.hypot(p * _BIG_R, q * _SMALL_R) * s
     samples = max(int(curve_len) * 64, 256)
-    pts: list[tuple[int, int, int]] = []
-    for k in range(samples):
+    # |v - rint(v)| > near only for v within s * _HALF_MARGIN of a half-integer
+    near = 0.5 - s * _HALF_MARGIN
+    kept = []
+    last = None
+    for start in range(0, samples, _TORUS_CHUNK):
+        k = np.arange(start, min(start + _TORUS_CHUNK, samples), dtype=np.float64)
         t = 2 * math.pi * k / samples
-        w = (big_r + small_r * math.cos(q * t)) * s
-        point = (
-            round(w * math.cos(p * t)),
-            round(w * math.sin(p * t)),
-            round(small_r * s * math.sin(q * t)),
-        )
-        if not pts or point != pts[-1]:
-            pts.append(point)
+        qt = q * t
+        w = (_BIG_R + _SMALL_R * np.cos(qt)) * s
+        xyz = np.stack((w * np.cos(p * t), w * np.sin(p * t), _SMALL_R * s * np.sin(qt)), axis=1)
+        rounded = np.rint(xyz)
+        redo = np.flatnonzero((np.abs(xyz - rounded) > near).any(axis=1))
+        pts = rounded.astype(np.int64)
+        for k in redo.tolist():
+            pts[k] = _torus_point(p, q, s, samples, start + k)
+        fresh = np.empty(len(pts), dtype=bool)
+        fresh[0] = last is None or bool((pts[0] != last).any())
+        fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        kept.append(pts[fresh])
+        last = pts[-1]
+    pts = list(zip(*np.concatenate(kept).T.tolist()))
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
     return pts

@@ -19,6 +19,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import IntEnum
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -68,11 +69,20 @@ class LatticePoint(NamedTuple):
         return odd[0] if len(odd) == 1 else None
 
     def as_true(self) -> tuple:
-        """True coordinates: ints where integral, halves otherwise."""
-        return tuple(c // 2 if c % 2 == 0 else c / 2 for c in self)
+        """True coordinates: ints where integral, exact Fraction halves
+        otherwise."""
+        return tuple(c // 2 if c % 2 == 0 else Fraction(c, 2) for c in self)
 
     def __repr__(self) -> str:
-        return "LatticePoint%r" % (self.as_true(),)
+        return "LatticePoint(%s)" % ", ".join(map(_true_text, self))
+
+
+def _true_text(c: int) -> str:
+    """Exact decimal text of the true coordinate whose doubled value is c:
+    an integer, or one with the fraction .5."""
+    if c % 2 == 0:
+        return str(c // 2)
+    return f"{'-' if c < 0 else ''}{abs(c) // 2}.5"
 
 
 class Edge(NamedTuple):

@@ -21,7 +21,7 @@ from .engine import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
-from .lattice import LatticeKnot, LatticePoint
+from .lattice import LatticeKnot, _true_text
 from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
@@ -44,16 +44,10 @@ def ratio_doc(value: Fraction) -> dict:
     }
 
 
-def _true_doc(point: LatticePoint) -> list:
-    # as_true's halves are floats, which hold a half-integer exactly only
-    # below 2**52; the document keeps them as Fractions
-    return [t if isinstance(t, int) else Fraction(c, 2) for c, t in zip(point, point.as_true())]
-
-
 def witness_docs(report: DistortionReport) -> list:
     """Witness pairs in true coordinates, sorted; a half-integer coordinate
     is a Fraction, which render_json writes as exact decimal text."""
-    return [[_true_doc(a), _true_doc(b)] for a, b in sorted(report.witnesses)]
+    return [[list(a.as_true()), list(b.as_true())] for a, b in sorted(report.witnesses)]
 
 
 def _heatmap_columns(heat: Heatmap) -> Iterator[tuple[int, list, int, int, str]]:
@@ -131,8 +125,7 @@ def _half_text(value: Fraction) -> str:
     removes with the quotes json.dumps puts around the string."""
     if not isinstance(value, Fraction) or value.denominator != 2:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    sign = "-" if value < 0 else ""
-    return f"\0{sign}{abs(value.numerator) // 2}.5\0"
+    return f"\0{_true_text(value.numerator)}\0"
 
 
 def render_json(doc: dict, pretty: bool = False) -> str:

@@ -7,6 +7,7 @@ reference_vertex_report, the exhaustive vertex report read off the
 engine's heatmap rows, which the tests check against reference_row_maxima.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -273,6 +274,31 @@ def reference_vertex_report(knot):
     verts = knot.vertices
     witnesses = frozenset(tuple(sorted((verts[i], verts[j]))) for i, j in index_pairs)
     return DistortionReport(delta, witnesses, n * (n - 1) // 2, frozenset(index_pairs))
+
+
+def reference_sample_torus(p: int, q: int, s: int) -> list[tuple[int, int, int]]:
+    """Round a dense sampling of the (p, q) torus curve to lattice points.
+
+    The generators' scalar loop as it was before it evaluated the curve in
+    numpy chunks, kept verbatim: math's sin and cos, one sample at a time.
+    """
+    big_r, small_r = 2.0, 1.0
+    curve_len = 2 * math.pi * math.hypot(p * big_r, q * small_r) * s
+    samples = max(int(curve_len) * 64, 256)
+    pts: list[tuple[int, int, int]] = []
+    for k in range(samples):
+        t = 2 * math.pi * k / samples
+        w = (big_r + small_r * math.cos(q * t)) * s
+        point = (
+            round(w * math.cos(p * t)),
+            round(w * math.sin(p * t)),
+            round(small_r * s * math.sin(q * t)),
+        )
+        if not pts or point != pts[-1]:
+            pts.append(point)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    return pts
 
 
 def witness_true_pairs(report):

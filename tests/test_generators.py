@@ -2,7 +2,9 @@
 exhaustive enumeration."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +21,7 @@ from knotdist import (
     validate,
     vertex_distortion,
 )
+from knotdist import generators
 from knotdist.generators import (
     _TORUS_SCALES_TRIED,
     _drop_backtracks,
@@ -27,6 +30,11 @@ from knotdist.generators import (
     canonical_moves,
     torus_sample_bound,
 )
+from conftest import reference_sample_torus
+from test_tooling import load_perfbench
+
+TORUS_GRID = [(p, q, s) for p in range(2, 8) for q in range(2, 8) if math.gcd(p, q) == 1
+              for s in range(2, 25)]
 
 
 class TestRectangle:
@@ -110,6 +118,67 @@ class TestTorusKnot:
             torus_knot(1, 3, 3)  # unknotted parameters
         with pytest.raises(ValueError):
             torus_knot(2, 3, 1)  # scale too small
+
+
+class TestSampleTorus:
+    """_sample_torus evaluates the curve in numpy; its points must be the
+    scalar loop's, or every torus knot, golden digest and stored benchmark
+    answer would change."""
+
+    def test_benchmark_bases_equal_the_scalar_loop(self, monkeypatch):
+        corpus = load_perfbench(monkeypatch, "corpus")
+        cases = {base.args for workload in corpus.WORKLOADS.values()
+                 for base in workload.full + workload.smoke if base.kind == "torus"}
+        for case in sorted(cases):
+            assert _sample_torus(*case) == reference_sample_torus(*case), case
+
+    def test_grid_equals_the_scalar_loop(self, monkeypatch):
+        redone = []
+        real = generators._torus_point
+        monkeypatch.setattr(generators, "_torus_point", lambda *a: redone.append(a) or real(*a))
+        for case in TORUS_GRID:
+            assert _sample_torus(*case) == reference_sample_torus(*case), case
+        # samples whose coordinate sits at a half-integer, such as
+        # s sin(pi / 6) for odd s, occur on the grid and take the fallback
+        assert redone
+
+    def test_margin_absorbs_trig_error(self, monkeypatch):
+        # numpy's sin and cos moved 8 ulps, alternately up and down, as a
+        # less exact SIMD kernel might; math's stay as they are
+        def shaken(f):
+            def moved(x):
+                y = f(x)
+                away = np.where(np.arange(y.size).reshape(y.shape) % 2, np.inf, -np.inf)
+                for _ in range(8):
+                    y = np.nextafter(y, away)
+                return y
+            return moved
+
+        monkeypatch.setattr(np, "sin", shaken(np.sin))
+        monkeypatch.setattr(np, "cos", shaken(np.cos))
+        redone = []
+        real = generators._torus_point
+        monkeypatch.setattr(generators, "_torus_point", lambda *a: redone.append(a) or real(*a))
+        small = [case for case in TORUS_GRID if case[2] <= 4]
+        for case in small:
+            assert _sample_torus(*case) == reference_sample_torus(*case), case
+        assert redone
+        # without the margin the same error changes a knot's points
+        monkeypatch.setattr(generators, "_HALF_MARGIN", 0.0)
+        assert _sample_torus(2, 5, 3) != reference_sample_torus(2, 5, 3)
+
+    def test_memory_stays_bounded(self):
+        # about cli.MAX_EDGES samples; evaluated as whole arrays they take
+        # over 100 MB, in chunks a few MB, most of it the returned points
+        assert 64 * int(2 * math.pi * math.hypot(4, 3) * 500) > 10**6
+        tracemalloc.start()
+        try:
+            pts = _sample_torus(2, 3, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) > 20_000
+        assert peak < 8 * 2**20
 
 
 class TestRepairHelpers:

@@ -1,5 +1,7 @@
 """Data model: validation, the knot contract, scaling, midpoints, isometries."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,6 +382,12 @@ class TestMidpoints:
     def test_unit_square_midpoints(self, unit_square):
         got = {m.as_true() for m in midpoints(unit_square)}
         assert got == {(0.5, 0, 0), (1, 0.5, 0), (0.5, 1, 0), (0, 0.5, 0)}
+
+    def test_far_halves_are_exact(self):
+        # a float half-integer past 2**52 rounds to a neighbouring integer
+        far = LatticePoint(2**61 + 1, -1, -4)
+        assert far.as_true() == (Fraction(2**61 + 1, 2), Fraction(-1, 2), -2)
+        assert repr(far) == "LatticePoint(1152921504606846976.5, -0.5, -2)"
 
     def test_count_equals_edges(self, small_corpus):
         for knot in small_corpus:

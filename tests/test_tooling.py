@@ -128,6 +128,17 @@ def test_benchmark_files_take_the_c_path(monkeypatch):
             assert got.shape == (len(vertices), 3), base.name
 
 
+def test_benchmark_bases_match_their_answers(monkeypatch):
+    # run.py checks each operation against the answer stored for its base
+    # knot, so a generator that drifted would show only as failed operations
+    corpus = load_perfbench(monkeypatch, "corpus")
+    answers = corpus.load_answers()["knots"]
+    for workload in corpus.WORKLOADS.values():
+        for base in workload.full:
+            vertices = corpus.generate(base, generators)
+            assert corpus.fingerprint(vertices) == answers[base.name]["sha256"], base.name
+
+
 def test_benchmark_entry_points_exist(monkeypatch):
     # the benchmark drives the CLI and wraps library functions by name, so
     # removing any of them would break it without failing another test
