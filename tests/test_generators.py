@@ -120,29 +120,32 @@ class TestTorusKnot:
             torus_knot(2, 3, 1)  # scale too small
 
 
+@pytest.fixture
+def redone(monkeypatch):
+    """The samples _sample_torus redoes with the scalar expression."""
+    calls = []
+    real = generators._torus_point
+    monkeypatch.setattr(generators, "_torus_point", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestSampleTorus:
     """_sample_torus evaluates the curve in numpy; its points must be the
     scalar loop's, or every torus knot, golden digest and stored benchmark
     answer would change."""
 
-    def test_benchmark_bases_equal_the_scalar_loop(self, monkeypatch):
+    def test_equals_the_scalar_loop(self, monkeypatch, redone):
+        # the grid and every torus base of the benchmark's corpora
         corpus = load_perfbench(monkeypatch, "corpus")
         cases = {base.args for workload in corpus.WORKLOADS.values()
                  for base in workload.full + workload.smoke if base.kind == "torus"}
-        for case in sorted(cases):
-            assert _sample_torus(*case) == reference_sample_torus(*case), case
-
-    def test_grid_equals_the_scalar_loop(self, monkeypatch):
-        redone = []
-        real = generators._torus_point
-        monkeypatch.setattr(generators, "_torus_point", lambda *a: redone.append(a) or real(*a))
-        for case in TORUS_GRID:
+        for case in sorted(cases.union(TORUS_GRID)):
             assert _sample_torus(*case) == reference_sample_torus(*case), case
         # samples whose coordinate sits at a half-integer, such as
         # s sin(pi / 6) for odd s, occur on the grid and take the fallback
         assert redone
 
-    def test_margin_absorbs_trig_error(self, monkeypatch):
+    def test_margin_absorbs_trig_error(self, monkeypatch, redone):
         # numpy's sin and cos moved 8 ulps, alternately up and down, as a
         # less exact SIMD kernel might; math's stay as they are
         def shaken(f):
@@ -156,9 +159,6 @@ class TestSampleTorus:
 
         monkeypatch.setattr(np, "sin", shaken(np.sin))
         monkeypatch.setattr(np, "cos", shaken(np.cos))
-        redone = []
-        real = generators._torus_point
-        monkeypatch.setattr(generators, "_torus_point", lambda *a: redone.append(a) or real(*a))
         small = [case for case in TORUS_GRID if case[2] <= 4]
         for case in small:
             assert _sample_torus(*case) == reference_sample_torus(*case), case
