@@ -91,6 +91,8 @@ def cases() -> list[list[str]]:
         ]
     for f in LONG:
         out += [["compute", "--with-heatmap", f], ["heatmap", f, "--csv", "-"]]
+    for f in ("square.knot", "far.knot", "random600.knot"):
+        out.append(["compute", "--with-heatmap", "--pretty", f])
     out += [
         ["scale", "square.knot", "--factor", "2", "-o", "out.knot"],
         ["scale", "square.knot", "--factor", "2", "--output", "out.knot", "--form", "moves"],
