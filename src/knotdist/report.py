@@ -8,7 +8,6 @@ half to even.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,9 @@ from .lattice import LatticeKnot, _true_text
 from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
+# One heatmap row as compact JSON and as CSV, formatted from a _heatmap_table row
+_JSON_ROW = '{"index":%d,"vertex":[%d,%d,%d],"num":%d,"den":%d,"decimal":"%d.%06d"}'
+_CSV_ROW = "%d,%d,%d,%d,%d,%d,%d.%06d\n"
 
 
 def format_decimal(value: Fraction) -> str:
@@ -50,24 +52,26 @@ def witness_docs(report: DistortionReport) -> list:
     return [[list(a.as_true()), list(b.as_true())] for a, b in sorted(report.witnesses)]
 
 
-def _heatmap_columns(heat: Heatmap) -> Iterator[tuple[int, list, int, int, str]]:
-    """Per row: index, true vertex, num, den and the format_decimal string.
-
-    The decimals are format_decimal done on the arrays: rows are in
-    lowest terms with num <= n, so num * 10^6 stays inside int64.
-    """
+def _heatmap_table(heat: Heatmap) -> np.ndarray:
+    """(n, 8) int64 rows: index, true x, y, z, num, den and the six-place
+    decimal's whole and millionths, rounded as format_decimal: rows are in
+    lowest terms with num <= n, so num * 10^6 stays inside int64."""
     scaled, rem = np.divmod(heat.num * 10**6, heat.den)
     scaled += (2 * rem > heat.den) | ((2 * rem == heat.den) & (scaled % 2 == 1))
-    whole, frac = np.divmod(scaled, 10**6)
-    decimals = [f"{w}.{f:06d}" for w, f in zip(whole.tolist(), frac.tolist())]
-    vertices = (heat.knot.coords // 2).tolist()
-    return zip(range(len(heat)), vertices, heat.num.tolist(), heat.den.tolist(), decimals)
+    return np.column_stack((np.arange(len(heat)), heat.knot.coords // 2, heat.num, heat.den,
+                            *np.divmod(scaled, 10**6)))
+
+
+def _heatmap_text(heat: Heatmap, row: str, sep: str) -> str:
+    """Every row of the heatmap through one % template, joined by sep."""
+    table = _heatmap_table(heat)
+    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
 
 
 def heatmap_docs(heat: Heatmap) -> list:
     return [
-        {"index": i, "vertex": v, "num": p, "den": q, "decimal": s}
-        for i, v, p, q, s in _heatmap_columns(heat)
+        {"index": i, "vertex": [x, y, z], "num": p, "den": q, "decimal": f"{w}.{f:06d}"}
+        for i, x, y, z, p, q, w, f in _heatmap_table(heat).tolist()
     ]
 
 
@@ -105,7 +109,7 @@ def build_report(knot: LatticeKnot, *, with_heatmap: bool = False) -> dict:
         "certificate": certificate_doc(rep),
     }
     if heat is not None:
-        doc["heatmap"] = heatmap_docs(heat)
+        doc["heatmap"] = heat
     return doc
 
 
@@ -129,20 +133,25 @@ def _half_text(value: Fraction) -> str:
 
 
 def render_json(doc: dict, pretty: bool = False) -> str:
+    """The document as JSON; a Heatmap under "heatmap" is written as its heatmap_docs."""
+    heat = doc.get("heatmap")
+    if isinstance(heat, Heatmap):
+        # compact rows go where json.dumps writes "\x01" as "\u0001", which nothing else is
+        doc = {**doc, "heatmap": heatmap_docs(heat) if pretty else "\x01"}
     if pretty:
         text = json.dumps(doc, indent=2, default=_half_text)
     else:
         text = json.dumps(doc, separators=(",", ":"), default=_half_text)
     # json.dumps writes a float with float.__repr__, which rounds a
     # half-integer past 2**52, so halves pass through it as marked strings;
-    # only those marks put a backslash in a report
+    # only those marks and the compact heatmap's put a backslash in a report
     if "\\" in text:
         text = text.replace('"\\u0000', "").replace('\\u0000"', "")
+    if isinstance(heat, Heatmap) and not pretty:
+        head, _, tail = text.partition('"\\u0001"')
+        return f"{head}[{_heatmap_text(heat, _JSON_ROW, ',')}]{tail}\n"
     return text + "\n"
 
 
 def heatmap_csv(heat: Heatmap) -> str:
-    rows = (
-        f"{i},{x},{y},{z},{p},{q},{s}\n" for i, (x, y, z), p, q, s in _heatmap_columns(heat)
-    )
-    return "index,x,y,z,value_num,value_den,value_decimal\n" + "".join(rows)
+    return "index,x,y,z,value_num,value_den,value_decimal\n" + _heatmap_text(heat, _CSV_ROW, "")

@@ -7,6 +7,7 @@ reference_vertex_report, the exhaustive vertex report read off the
 engine's heatmap rows, which the tests check against reference_row_maxima.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -248,6 +249,42 @@ def reference_heatmap_rows(knot):
         row_num[better] = 2 * d
         row_den[better] = cand[better]
     return [Fraction(p, q) for p, q in zip(row_num.tolist(), row_den.tolist())]
+
+
+def _reference_heatmap_columns(heat):
+    """Per row: index, true vertex, num, den and the six-place decimal.
+
+    The decimals are report.format_decimal done on the arrays, round half
+    to even: rows are in lowest terms with num <= n, so num * 10^6 stays
+    inside int64.
+    """
+    scaled, rem = np.divmod(heat.num * 10**6, heat.den)
+    scaled += (2 * rem > heat.den) | ((2 * rem == heat.den) & (scaled % 2 == 1))
+    whole, frac = np.divmod(scaled, 10**6)
+    decimals = [f"{w}.{f:06d}" for w, f in zip(whole.tolist(), frac.tolist())]
+    vertices = (heat.knot.coords // 2).tolist()
+    return zip(range(len(heat)), vertices, heat.num.tolist(), heat.den.tolist(), decimals)
+
+
+def reference_heatmap_json(heat, pretty=False):
+    """{"heatmap": rows} as render_json wrote it before the row template:
+    one dict per row, encoded by json.dumps."""
+    rows = [
+        {"index": i, "vertex": v, "num": p, "den": q, "decimal": s}
+        for i, v, p, q, s in _reference_heatmap_columns(heat)
+    ]
+    if pretty:
+        return json.dumps({"heatmap": rows}, indent=2) + "\n"
+    return json.dumps({"heatmap": rows}, separators=(",", ":")) + "\n"
+
+
+def reference_heatmap_csv(heat):
+    """The heatmap CSV as written before the row template: one f-string per row."""
+    rows = (
+        f"{i},{x},{y},{z},{p},{q},{s}\n"
+        for i, (x, y, z), p, q, s in _reference_heatmap_columns(heat)
+    )
+    return "index,x,y,z,value_num,value_den,value_decimal\n" + "".join(rows)
 
 
 def reference_vertex_report(knot):

@@ -6,6 +6,7 @@ import decimal
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from knotdist import (
     exhaustive_small,
     gromov1_distortion,
     heatmap,
+    lattice_isometries,
     random_polygon,
     rectangle,
     scale,
@@ -37,6 +39,8 @@ from knotdist.report import (
 )
 from conftest import (
     reference_euclidean_bound,
+    reference_heatmap_csv,
+    reference_heatmap_json,
     reference_heatmap_rows,
     reference_row_maxima,
     reference_vertex_distortion,
@@ -423,6 +427,60 @@ class TestBuildReport:
             assert line == f"{r.index},{x},{y},{z},{r.value.numerator},{r.value.denominator},{want}"
         assert [d["decimal"] for d in docs[:6]] == [
             "0.007812", "0.023438", "1.007812", "0.001562", "0.010938", "2.500000"]
+
+
+    def test_heatmap_writers_match_the_per_row_reference(self, small_corpus):
+        # the row template writes the bytes that one dict per row through
+        # json.dumps, and one f-string per CSV row, wrote
+        knots = list(small_corpus)
+        for shift in (-5, 2**30, -(2**30), 2**61, -(2**61)):
+            knots += [transform(k, lattice_isometries()[shift % 48], (shift, 3 - shift, -shift))
+                      for k in small_corpus[::3]]
+        true = np.concatenate([k.coords // 2 for k in knots])
+        assert true.min() < -(2**61) < 2**61 < true.max()
+        # rows whose exact halves at the seventh decimal place round to even
+        base = rectangle(3, 37)
+        num = np.random.default_rng(5).integers(1, 10**4, base.n)
+        den = np.random.default_rng(6).integers(1, 10**4, base.n)
+        num[:6], den[:6] = [1, 3, 129, 1, 7, 5], [128, 128, 128, 640, 640, 2]
+        g = np.gcd(num, den)
+        heats = [knotdist.engine.Heatmap(base, num // g, den // g)]
+        for knot in knots:
+            doc = build_report(knot, with_heatmap=True)
+            heat = doc["heatmap"]
+            assert isinstance(heat, knotdist.engine.Heatmap) and heat == heatmap(knot)
+            heats.append(heat)
+            listed = {**doc, "heatmap": heatmap_docs(heat)}
+            for pretty in (False, True):
+                assert render_json(doc, pretty) == render_json(listed, pretty), (knot, pretty)
+            # the report without its heatmap, then the heatmap field
+            head = render_json(build_report(knot))[:-2]
+            assert render_json(doc) == head + "," + reference_heatmap_json(heat)[1:], knot
+        for heat in heats:
+            for pretty in (False, True):
+                want = reference_heatmap_json(heat, pretty)
+                assert render_json({"heatmap": heat}, pretty) == want, (heat.knot, pretty)
+            assert heatmap_docs(heat) == json.loads(want)["heatmap"]
+            assert heatmap_csv(heat) == reference_heatmap_csv(heat), heat.knot
+
+    def test_heatmap_rendering_peaks_below_the_per_row_dicts(self):
+        # the template's argument tuple is the largest thing the compact
+        # writer holds; one dict per row took more
+        doc = build_report(rectangle(2500, 2500), with_heatmap=True)
+        assert len(doc["heatmap"]) == 10_000
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                text = write()
+                return tracemalloc.get_traced_memory()[1], text
+            finally:
+                tracemalloc.stop()
+
+        got, text = peak(lambda: render_json(doc))
+        want, ref = peak(lambda: reference_heatmap_json(doc["heatmap"]))
+        assert text.endswith(ref[1:]) and len(text) > 700_000
+        assert got <= want, (got, want)
 
 
 class TestSweepLayout:
