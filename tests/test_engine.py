@@ -428,7 +428,6 @@ class TestBuildReport:
         assert [d["decimal"] for d in docs[:6]] == [
             "0.007812", "0.023438", "1.007812", "0.001562", "0.010938", "2.500000"]
 
-
     def test_heatmap_writers_match_the_per_row_reference(self, small_corpus):
         # the row template writes the bytes that one dict per row through
         # json.dumps, and one f-string per CSV row, wrote
