@@ -30,9 +30,10 @@ the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
 bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time, and picks each row's best band within a block by a float key
-that orders the band ratios exactly (see _Sweep._update_heatmap).  The
-kernel runs in int32: shifted coordinates lie in [0, n] and taxicab
-sums stay below 3n, so knots with 3n >= 2^31 are refused.
+that orders the band ratios exactly (see _Sweep._update_heatmap).
+Shifted coordinates lie in [0, n] and taxicab sums are at most 3n, so the
+kernel runs in int16 when 3n < 2^15, else int32: one kernel, its dtype
+picked once per knot.  Knots with 3n >= 2^31 are refused.
 
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
@@ -57,7 +58,8 @@ from .metrics import taxicab_doubled
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
 
-# Most edges the int32 band kernel takes: its taxicab sums reach 3n.
+# Most edges the band kernel takes: its taxicab sums reach 3n, in int16
+# when 3n < 2^15, else int32; one kernel.
 MAX_SWEEP_EDGES = (2**31 - 1) // 3
 # Distances one row-sweep kernel call evaluates: a block of
 # max(1, BLOCK_ELEMENTS // n) contiguous bands.
@@ -172,10 +174,13 @@ class _Sweep:
     """One banded scan over the vertex pairs of a knot.
 
     The coordinates are shifted by their minimum, so on a closed
-    unit-step polygon every value lies in [0, n] (doubled units) and
-    taxicab sums stay below 3n, exact in int32 while 3n < 2^31; squared
-    Euclidean sums and the heatmap's cross-multiplied comparisons reach
-    3 n^2 and are taken in int64.  Each of the three coordinate rows is
+    unit-step polygon, as on any knot that passes the span check, every
+    value lies in [0, n] (doubled units) and taxicab sums are at most 3n.
+    The kernel holds them in int16 when 3n < 2^15, else int32; one
+    kernel.  A Python int mixed with such an array keeps the array's
+    dtype and would wrap silently, so each such expression notes its
+    bound.  Squared Euclidean sums and the heatmap's cross-multiplied
+    comparisons reach 3 n^2 and are taken in int64.  Each of the three coordinate rows is
     stored twice, so the band partner i - d (mod n) of index i is the
     window [n - d, 2n - d) of the doubled rows.
     """
@@ -194,15 +199,17 @@ class _Sweep:
             raise ValueError(
                 "knot coordinates span more than its length; not a closed unit-step polygon"
             )
-        # C order, so the kernel reads each coordinate row contiguously
-        self.coords = np.empty((3, 2 * n), dtype=np.int32)
+        dtype = self.dtype = np.int16 if 3 * n < 2**15 else np.int32
+        # C order, so the kernel reads each coordinate row contiguously; the
+        # int64 values fit the dtype because the check above bounds them by n
+        self.coords = np.empty((3, 2 * n), dtype=dtype)
         self.coords[:, :n] = v.T - lo[:, None]
         self.coords[:, n:] = self.coords[:, :n]
         # windows[:, k] is coords[:, k : k + n], the partners of band n - k
         self.windows = sliding_window_view(self.coords, n, axis=1)
         # one band's buffers; the row sweep replaces them by a block's
-        self.diff = np.empty((3, 1, n), dtype=np.int32)
-        self.dist = np.empty((1, n), dtype=np.int32)
+        self.diff = np.empty((3, 1, n), dtype=dtype)
+        self.dist = np.empty((1, n), dtype=dtype)
         # the running maximum num/den, compared by cross-multiplication
         self.num, self.den = 1, 1
         self.index_pairs: set[tuple[int, int]] = set()
@@ -231,6 +238,7 @@ class _Sweep:
         """
         n = self.n
         dist = self._bands(d, d + 1)[0]
+        # dist and dmin are at most 3n: int(dist.min()) and dist == dmin are exact
         dmin = int(dist.min())
         # the antipodal band meets each of its pairs from both ends
         self.pairs += n // 2 if 2 * d == n else n
@@ -277,17 +285,17 @@ class _Sweep:
         """
         n, h = self.n, self.n // 2
         width = min(h, max(1, BLOCK_ELEMENTS // n))
-        self.diff = np.empty((3, width, n), dtype=np.int32)
+        self.diff = np.empty((3, width, n), dtype=self.dtype)
         # doubled like the coordinates, so the heatmap can read dist[i + d]
-        self.dist = np.empty((width, 2 * n), dtype=np.int32)
+        self.dist = np.empty((width, 2 * n), dtype=self.dtype)
         # the per-row maxima row_num / row_den, and the heatmap's block buffers
         self.row_num = np.zeros(n, dtype=np.int64)
         self.row_den = np.ones(n, dtype=np.int64)
-        self.cand = np.empty((width, n), dtype=np.int32)
+        self.cand = np.empty((width, n), dtype=self.dtype)
         self.key = np.empty((width, n), dtype=np.float64)
         # fl(1 / 2d) at index d - 1
         self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
-        self.band_offsets = np.arange(width, dtype=np.int32)[:, None]
+        self.band_offsets = np.arange(width, dtype=self.dtype)[:, None]
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
             self._bands(d0, d1)
@@ -331,6 +339,8 @@ class _Sweep:
         # so the larger d has the larger c; an argmax over axis 0 would
         # copy the block transposed and cost more
         hit = key == key.min(axis=0)
+        # in the kernel's dtype: hit * band_offsets < h, hit * cand <= 3n,
+        # and best + d0 <= h, so 2 * (best + d0) <= n
         best = np.multiply(hit, self.band_offsets[:w]).max(axis=0)
         num, den = 2 * (best + d0), np.multiply(hit, cand).max(axis=0)
         better = num * self.row_den > self.row_num * den

@@ -510,6 +510,30 @@ class TestSweepLayout:
             shifted = (knot.coords - knot.coords.min(axis=0)).T
             assert (coords == np.concatenate([shifted, shifted], axis=1)).all()
 
+    # the kernel runs in int16 while 3n < 2^15, that is n <= 10,922
+    @pytest.mark.parametrize("sides, dtype", [((2730, 2731), np.int16),
+                                              ((2731, 2731), np.int32)])
+    def test_both_sides_of_the_int16_bound(self, sides, dtype):
+        knot = rectangle(*sides)
+        assert knotdist.engine._Sweep(knot).coords.dtype == dtype
+        assert [row.value for row in heatmap(knot)] == reference_heatmap_rows(knot)
+        got, want = vertex_distortion(knot), reference_vertex_report(knot)
+        # pairs_examined differs by design: the branch and bound skips bands
+        assert (got.delta, got.witnesses, got._index_pairs) == (
+            want.delta, want.witnesses, want._index_pairs)
+
+    @pytest.mark.parametrize("n, dtype", [(10_922, np.int16), (10_924, np.int32)])
+    def test_taxicab_sums_of_3n_at_the_int16_bound(self, n, dtype):
+        # unvalidated: distinct points on the main diagonal, each axis
+        # spanning exactly n, so vertices 0 and n/2 are 3n apart; an int16
+        # kernel at n = 10,924 would wrap that 32,772
+        i = np.arange(n)
+        c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
+        knot = LatticeKnot(np.stack([c, c, c], axis=1))
+        assert np.abs(knot.coords[0] - knot.coords[n // 2]).sum() == 3 * n
+        assert knotdist.engine._Sweep(knot).coords.dtype == dtype
+        assert [row.value for row in heatmap(knot)] == reference_heatmap_rows(knot)
+
 
 class TestEuclideanBound:
     def test_unit_square(self, unit_square):

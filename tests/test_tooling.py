@@ -145,6 +145,17 @@ def test_benchmark_bases_match_their_answers(monkeypatch):
             assert corpus.fingerprint(vertices) == answers[base.name]["sha256"], base.name
 
 
+def test_heatmap_benchmark_runs_the_int16_kernel(monkeypatch):
+    # heatmap_report times the row sweep, which runs in int16 only while
+    # 3n < 2^15; a larger base would time the int32 kernel instead
+    corpus = load_perfbench(monkeypatch, "corpus")
+    workload = corpus.WORKLOADS["heatmap_report"]
+    for base in workload.full + workload.smoke:
+        knot = knotdist.LatticeKnot.from_true(corpus.generate(base, generators))
+        assert 3 * knot.n < 2**15, base.name
+        assert knotdist.engine._Sweep(knot).coords.dtype == np.int16, base.name
+
+
 def test_benchmark_entry_points_exist(monkeypatch):
     # the benchmark drives the CLI and wraps library functions by name, so
     # removing any of them would break it without failing another test
