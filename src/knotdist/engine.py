@@ -180,9 +180,9 @@ class _Sweep:
     kernel.  A Python int mixed with such an array keeps the array's
     dtype and would wrap silently, so each such expression notes its
     bound.  Squared Euclidean sums and the heatmap's cross-multiplied
-    comparisons reach 3 n^2 and are taken in int64.  Each of the three coordinate rows is
-    stored twice, so the band partner i - d (mod n) of index i is the
-    window [n - d, 2n - d) of the doubled rows.
+    comparisons reach 3 n^2 and are taken in int64.  Each of the three
+    coordinate rows is stored twice, so the band partner i - d (mod n)
+    of index i is the window [n - d, 2n - d) of the doubled rows.
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -199,7 +199,7 @@ class _Sweep:
             raise ValueError(
                 "knot coordinates span more than its length; not a closed unit-step polygon"
             )
-        dtype = self.dtype = np.int16 if 3 * n < 2**15 else np.int32
+        dtype = np.int16 if 3 * n < 2**15 else np.int32
         # C order, so the kernel reads each coordinate row contiguously; the
         # int64 values fit the dtype because the check above bounds them by n
         self.coords = np.empty((3, 2 * n), dtype=dtype)
@@ -283,19 +283,19 @@ class _Sweep:
         A block of contiguous bands is taken per kernel call; the running
         maximum and its witnesses are left to _refine.
         """
-        n, h = self.n, self.n // 2
+        n, h, dtype = self.n, self.n // 2, self.coords.dtype
         width = min(h, max(1, BLOCK_ELEMENTS // n))
-        self.diff = np.empty((3, width, n), dtype=self.dtype)
+        self.diff = np.empty((3, width, n), dtype=dtype)
         # doubled like the coordinates, so the heatmap can read dist[i + d]
-        self.dist = np.empty((width, 2 * n), dtype=self.dtype)
+        self.dist = np.empty((width, 2 * n), dtype=dtype)
         # the per-row maxima row_num / row_den, and the heatmap's block buffers
         self.row_num = np.zeros(n, dtype=np.int64)
         self.row_den = np.ones(n, dtype=np.int64)
-        self.cand = np.empty((width, n), dtype=self.dtype)
+        self.cand = np.empty((width, n), dtype=dtype)
         self.key = np.empty((width, n), dtype=np.float64)
         # fl(1 / 2d) at index d - 1
         self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
-        self.band_offsets = np.arange(width, dtype=self.dtype)[:, None]
+        self.band_offsets = np.arange(width, dtype=dtype)[:, None]
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
             self._bands(d0, d1)
