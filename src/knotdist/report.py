@@ -24,8 +24,11 @@ from .lattice import LatticeKnot, _true_text
 from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
-# One heatmap row as compact JSON and as CSV, formatted from a _heatmap_table row
+# One heatmap row as compact JSON, indented JSON and CSV, from a _heatmap_table row
 _JSON_ROW = '{"index":%d,"vertex":[%d,%d,%d],"num":%d,"den":%d,"decimal":"%d.%06d"}'
+_PRETTY_ROW = ('    {\n      "index": %d,\n      "vertex": [\n        %d,\n        %d,\n'
+               '        %d\n      ],\n      "num": %d,\n      "den": %d,\n'
+               '      "decimal": "%d.%06d"\n    }')
 _CSV_ROW = "%d,%d,%d,%d,%d,%d,%d.%06d\n"
 
 
@@ -133,23 +136,25 @@ def _half_text(value: Fraction) -> str:
 
 
 def render_json(doc: dict, pretty: bool = False) -> str:
-    """The document as JSON; a Heatmap under "heatmap" is written as its heatmap_docs."""
+    """The document as JSON; a Heatmap under "heatmap" is written as its
+    heatmap_docs would be, each row from the % template of the spacing."""
     heat = doc.get("heatmap")
     if isinstance(heat, Heatmap):
-        # compact rows go where json.dumps writes "\x01" as "\u0001", which nothing else is
-        doc = {**doc, "heatmap": heatmap_docs(heat) if pretty else "\x01"}
+        # the rows go where json.dumps writes "\x01" as "\u0001", which nothing else is
+        doc = {**doc, "heatmap": "\x01"}
     if pretty:
         text = json.dumps(doc, indent=2, default=_half_text)
+        layout = "[\n", _PRETTY_ROW, ",\n", "\n  ]"
     else:
         text = json.dumps(doc, separators=(",", ":"), default=_half_text)
+        layout = "[", _JSON_ROW, ",", "]"
     # json.dumps writes a float with float.__repr__, which rounds a
-    # half-integer past 2**52, so halves pass through it as marked strings;
-    # only those marks and the compact heatmap's put a backslash in a report
-    if "\\" in text:
-        text = text.replace('"\\u0000', "").replace('\\u0000"', "")
-    if isinstance(heat, Heatmap) and not pretty:
+    # half-integer past 2**52, so halves pass through it as marked strings
+    text = text.replace('"\\u0000', "").replace('\\u0000"', "")
+    if isinstance(heat, Heatmap):
+        start, row, sep, end = layout
         head, _, tail = text.partition('"\\u0001"')
-        return f"{head}[{_heatmap_text(heat, _JSON_ROW, ',')}]{tail}\n"
+        return f"{head}{start}{_heatmap_text(heat, row, sep)}{end}{tail}\n"
     return text + "\n"
 
 

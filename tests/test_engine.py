@@ -160,12 +160,15 @@ class TestVertexDistortion:
             assert back_pairs(g_got.witnesses) == g_want.witnesses
 
     def test_unvalidated_spread_rejected(self):
-        # the int32 kernel relies on coordinates spanning at most n
-        for far in (6, -2**62):
-            pts = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, far, 0)]
+        # the int32 kernel relies on coordinates spanning at most n; the
+        # last knot's x span, 2^64 - 2, wraps to -2 if taken in int64
+        for pts in ([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 6, 0)],
+                    [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, -2**62, 0)],
+                    [(-2**63, 0, 0), (2**63 - 2, 0, 0), (2**63 - 2, 2, 0), (-2**63, 2, 0)]):
             knot = LatticeKnot(tuple(LatticePoint(*p) for p in pts))
-            with pytest.raises(ValueError, match="span"):
-                vertex_distortion(knot)
+            for run in (vertex_distortion, heatmap):
+                with pytest.raises(ValueError, match="span"):
+                    run(knot)
 
 
 def bands_evaluated(knot, rep):
@@ -463,8 +466,8 @@ class TestBuildReport:
             assert heatmap_csv(heat) == reference_heatmap_csv(heat), heat.knot
 
     def test_heatmap_rendering_peaks_below_the_per_row_dicts(self):
-        # the template's argument tuple is the largest thing the compact
-        # writer holds; one dict per row took more
+        # the template's argument tuple is the largest thing either writer
+        # holds; one dict per row took more
         doc = build_report(rectangle(2500, 2500), with_heatmap=True)
         assert len(doc["heatmap"]) == 10_000
 
@@ -476,10 +479,11 @@ class TestBuildReport:
             finally:
                 tracemalloc.stop()
 
-        got, text = peak(lambda: render_json(doc))
-        want, ref = peak(lambda: reference_heatmap_json(doc["heatmap"]))
-        assert text.endswith(ref[1:]) and len(text) > 700_000
-        assert got <= want, (got, want)
+        for pretty in (False, True):
+            got, text = peak(lambda: render_json(doc, pretty))
+            want, ref = peak(lambda: reference_heatmap_json(doc["heatmap"], pretty))
+            assert text.endswith(ref[1:]) and len(text) > 700_000
+            assert got <= want, (pretty, got, want)
 
 
 class TestSweepLayout:

@@ -70,17 +70,16 @@ def test_heatmap_output_builds_nothing_per_row(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(report, "format_decimal", counted("format_decimal", report.format_decimal))
     monkeypatch.setattr(LatticePoint, "as_true", counted("as_true", LatticePoint.as_true))
-    # compact JSON and CSV rows come from the row template; only --pretty
-    # builds the per-row dicts
+    # compact JSON, indented JSON and CSV rows come from the row templates;
+    # no output builds the per-row dicts
     monkeypatch.setattr(report, "heatmap_docs", counted("heatmap_docs", report.heatmap_docs))
-    for pretty, docs in (([], 0), (["--pretty"], 1)):
+    for pretty in ([], ["--pretty"]):
         calls.clear()
         assert cli.main(["compute", "--with-heatmap", *pretty, str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["heatmap"]) == 400
         # delta and gromov1, and the two points of each witness
-        assert calls == collections.Counter(
-            format_decimal=2, as_true=2 * len(doc["witnesses"]), heatmap_docs=docs)
+        assert calls == collections.Counter(format_decimal=2, as_true=2 * len(doc["witnesses"]))
     calls.clear()
     assert cli.main(["heatmap", str(path), "--csv", "-"]) == 0
     assert capsys.readouterr().out.count("\n") == 401
