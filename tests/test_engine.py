@@ -160,7 +160,7 @@ class TestVertexDistortion:
             assert back_pairs(g_got.witnesses) == g_want.witnesses
 
     def test_unvalidated_spread_rejected(self):
-        # the int32 kernel relies on coordinates spanning at most n; the
+        # the band kernel relies on coordinates spanning at most n; the
         # last knot's x span, 2^64 - 2, wraps to -2 if taken in int64
         for pts in ([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 6, 0)],
                     [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, -2**62, 0)],
