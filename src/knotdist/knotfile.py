@@ -8,14 +8,15 @@ X x Y y Z z (uppercase steps +1, lowercase -1) starting at the origin.
 them.  parse_vertices reads the vertex list only, as an (n, 3) integer
 array; parse_knot also validates it.  Error messages cite line numbers.
 
-A vertex file is read one of two ways.  When one regex match checks the
-whole text, numpy's text-mode fromstring converts its tokens in C; that
-read is kept only when fromstring reached the end of the text and no
-value is an int64 extreme, where it saturates tokens outside int64.
-Every other text (Unicode digits or separators, tokens at or past the
-int64 extremes, the move form, a syntax error) is read line by line,
-which names the first bad line and converts with int() only once every
-line has passed.
+A vertex file is read one of two ways.  When the text past any leading
+whitespace is ASCII and the classes of its bytes show the header and
+three tokens on every non-blank line, numpy's text-mode fromstring
+converts the tokens in C; that read is kept only when fromstring reached
+the end of the text and no value is an int64 extreme, where it saturates
+tokens outside int64.  Every other text (non-ASCII text, separators that
+fromstring refuses, tokens at or past the int64 extremes, the move form,
+a syntax error) is read line by line, which names the first bad line and
+converts with int() only once every line has passed.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ _GAP = rf"[^\S{_EOL}]"
 _INT = r"[+-]?\d++"
 _VERTEX = rf"{_INT}{_GAP}++{_INT}{_GAP}++{_INT}"
 _VERTEX_RE = re.compile(_VERTEX)
-# the header line, then one or more vertex lines, blank lines anywhere;
-# possessive repeats keep no backtracking state per line
-_VERTEX_FILE_RE = re.compile(
-    rf"\s*+{re.escape(HEADER)}(?:{_GAP}*+[{_EOL}]\s*+{_VERTEX})++\s*+"
+# the class of each byte of a vertex file: 1 digit, 2 sign, 3 gap (the
+# ASCII characters of _GAP), 4 line end (those of _EOL), 0 anything else
+_BYTE_CLASS = bytes(
+    1 if b in b"0123456789" else 2 if b in b"+-" else 3 if b in b" \t\x1f"
+    else 4 if b in b"\n\r\x0b\x0c\x1c\x1d\x1e" else 0
+    for b in range(256)
 )
 
 
@@ -68,6 +71,39 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _vertex_body(code: str) -> Optional[str]:
+    """The text after the header when code is an ASCII vertex file, else None.
+
+    Such a file is the header, nothing but gaps after it on its line, and
+    one or more lines of three [+-]?[0-9]+ tokens between gaps, with
+    whitespace-only lines anywhere.  One translate maps the body's bytes
+    to their classes, and numpy counts the token starts on each line.
+    """
+    code = code.lstrip()
+    if not code.startswith(HEADER):
+        return None
+    body = code[len(HEADER):]
+    cls = body.encode().translate(_BYTE_CLASS)
+    # refuse a byte of class 0 (every byte of a non-ASCII character is
+    # one), anything but gaps after the header on its line, a final sign
+    if b"\0" in cls or cls.lstrip(b"\3")[:1] != b"\4" or cls.endswith(b"\2"):
+        return None
+    c = np.frombuffer(cls, np.uint8)
+    # c[0] is a gap or a line end, so every sign has a byte on each side
+    signs = np.flatnonzero(c == 2)
+    if (c[signs - 1] < 3).any() or (c[signs + 1] != 1).any():
+        return None
+    token = c < 3
+    start = np.zeros_like(token)
+    np.greater(token[1:], token[:-1], out=start[1:])
+    # token starts per line, in uint8 to keep the array small; a count can
+    # wrap at 256, but the starts total 3 per line that counts 3 only when
+    # every line holds none or exactly three
+    counts = np.add.reduceat(start.view(np.uint8), np.flatnonzero(c == 4), dtype=np.uint8)
+    total = np.count_nonzero(start)
+    return body if total and total == 3 * np.count_nonzero(counts == 3) else None
+
+
 def parse_vertices(text: str) -> np.ndarray:
     """Parse either file form into its true vertices, unvalidated.
 
@@ -81,8 +117,8 @@ def parse_vertices(text: str) -> np.ndarray:
     # cutting comments can join "\r#\n" into one line end, so the line
     # numbers of errors come from the original text
     code = _COMMENT_RE.sub("", text) if "#" in text else text
-    if _VERTEX_FILE_RE.fullmatch(code):
-        body = code[code.index(HEADER) + len(HEADER):]
+    body = _vertex_body(code)
+    if body is not None:
         try:
             with warnings.catch_warnings():
                 # numpy releases that only deprecate unmatched data warn and

@@ -128,6 +128,20 @@ def reference_parse_vertices(text):
     return vertices
 
 
+# the whole-text match knotfile once used as its guard, which
+# knotfile._vertex_body must equal on ASCII texts: the header, then one or
+# more lines of three signed integers, blank lines anywhere; the gap is
+# whitespace other than a line boundary of str.splitlines
+_REFERENCE_EOL = "\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_REFERENCE_GAP = rf"[^\S{_REFERENCE_EOL}]"
+_REFERENCE_INT = r"[+-]?\d++"
+_REFERENCE_VERTEX = (_REFERENCE_GAP + "++").join([_REFERENCE_INT] * 3)
+REFERENCE_VERTEX_FILE_RE = re.compile(
+    rf"\s*+{re.escape(_REFERENCE_HEADER)}"
+    rf"(?:{_REFERENCE_GAP}*+[{_REFERENCE_EOL}]\s*+{_REFERENCE_VERTEX})++\s*+"
+)
+
+
 def reference_validate(vertices):
     """Per-vertex check of the knot invariants, violations in the same
     order as validate's."""

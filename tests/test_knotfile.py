@@ -25,7 +25,13 @@ from knotdist import (
     transform,
     validate,
 )
-from conftest import reference_parse_knot, reference_parse_vertices, reference_validate
+from knotdist.knotfile import _vertex_body
+from conftest import (
+    REFERENCE_VERTEX_FILE_RE,
+    reference_parse_knot,
+    reference_parse_vertices,
+    reference_validate,
+)
 
 SQUARE_FILE = """latticeknot v1
 # the smallest lattice knot
@@ -183,6 +189,23 @@ def vertex_files(draw):
     return text + draw(st.sampled_from(["", "\n", "\r\n \n"]))
 
 
+# characters on both sides of every byte-class boundary of _vertex_body
+GUARD_PIECES = ["0", "7", "+", "-", " ", "\t", "\x1f", "\n", "\r", "\x0b", "\x1c", "\x85",
+                "\u3000", "\xa0", "\u0661", "x", ".", "latticeknot v1", "\n1 2 3"]
+
+
+@st.composite
+def guard_texts(draw):
+    """Texts at the edges of the vertex-file grammar: an optional header,
+    then vertex lines and single pieces, each after some separators."""
+    separators = st.lists(st.sampled_from(GUARD_PIECES[4:11]), max_size=2).map("".join)
+    content = st.sampled_from(GUARD_PIECES + ["1 2 3", "-7\t+0 00"] * 10)
+    text = "".join(map("".join, draw(st.lists(st.tuples(separators, content), max_size=8))))
+    if draw(st.integers(0, 3)):
+        text = draw(st.sampled_from(["", " ", "\n\t", "\xa0"])) + "latticeknot v1" + text
+    return text
+
+
 def outcome(parse, text):
     """A parser's vertices as tuples of ints, or its exception."""
     try:
@@ -307,6 +330,61 @@ class TestAgainstReferenceParser:
             assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
             assert read == [text], repr(text)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(text=guard_texts())
+    def test_guard_agrees_with_the_whole_text_regex(self, text):
+        # on every text whose stripped form is ASCII; the regex also took
+        # some non-ASCII texts, which fromstring then refused
+        accepted = REFERENCE_VERTEX_FILE_RE.fullmatch(text) is not None
+        body = _vertex_body(text)
+        if text.lstrip().isascii():
+            assert (body is not None) == accepted, repr(text)
+        if body is not None:
+            assert body == text.lstrip()[len("latticeknot v1"):]
+
+    @pytest.mark.parametrize("tokens", [256, 259, 515])
+    def test_token_counts_that_wrap_a_byte(self, tokens):
+        # a line of 256 tokens counts 0 in uint8, of 259 or 515 counts 3
+        text = "latticeknot v1\n" + " ".join(["1"] * tokens) + "\n0 0 0\n"
+        assert _vertex_body(text) is None
+        got = outcome(parse_vertices, text)
+        assert got == outcome(reference_parse_vertices, text)
+        assert got[0] is KnotFileError and got[2] == 2
+
+    @pytest.mark.parametrize("line", ["1-2 3 4", "+-1 0 0", "- 1 0 0", "0 0 3-"])
+    def test_misplaced_signs(self, line):
+        for text, no in ((f"latticeknot v1\n{line}\n0 0 0\n", 2),
+                         (f"latticeknot v1\n0 0 0\n{line}", 3)):
+            assert _vertex_body(text) is None, repr(text)
+            got = outcome(parse_vertices, text)
+            assert got == outcome(reference_parse_vertices, text)
+            assert got[0] is KnotFileError and got[2] == no
+
+    def test_glued_header(self):
+        for text in ["latticeknot v10\n0 0 0\n", "latticeknot v1 0\n0 0 0\n",
+                     "latticeknot v1-\n0 0 0\n", "latticeknot v1 1 2 3\n"]:
+            assert _vertex_body(text) is None, repr(text)
+            got = outcome(parse_vertices, text)
+            assert got == outcome(reference_parse_vertices, text)
+            assert got[0] is KnotFileError and got[2] == 1
+
+    def test_unit_separator_gap_reaches_the_line_reader(self, monkeypatch):
+        # \x1f is whitespace inside a line to str.split, so the guard
+        # passes it, but fromstring refuses it
+        read = self.line_reader_calls(monkeypatch)
+        text = square_file("\x1f")
+        assert _vertex_body(text) is not None
+        assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
+        assert read == [text]
+
+    def test_whitespace_before_the_header(self, monkeypatch):
+        read = self.line_reader_calls(monkeypatch)
+        for lead in [" ", "\xa0", "\u3000\n\t"]:
+            text = lead + square_file()
+            assert _vertex_body(text) == square_file()[len("latticeknot v1"):]
+            assert outcome(parse_vertices, text) == outcome(reference_parse_vertices, text)
+        assert read == []
+
     def test_digit_limit_comes_after_syntax(self):
         # int() refuses tokens of more than 4,300 digits; the line reader
         # converts only after every line has passed, so a later syntax
@@ -338,15 +416,24 @@ class TestAgainstReferenceParser:
         assert caught.value.result.codes() == {"out_of_range"}
 
 
+def peak_memory(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_parse_peak_memory_within_reference():
     text = serialize_vertices(rectangle(1, 4999))
+    assert peak_memory(parse_knot, text) <= peak_memory(reference_parse_knot, text)
 
-    def peak(parse):
-        tracemalloc.start()
-        try:
-            parse(text)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(parse_knot) <= peak(reference_parse_knot)
+def test_parse_vertices_peak_memory_scales_with_the_text():
+    # 10,000 lines of six-digit coordinates; the guard's byte-class arrays
+    # must stay one byte per character, so a per-line count as wide as
+    # intp (about 14x) fails here
+    knot = transform(rectangle(1, 4999), translate=(123456, -654321, 999999))
+    text = serialize_vertices(knot)
+    assert peak_memory(parse_vertices, text) < 8 * len(text)
