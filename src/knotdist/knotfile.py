@@ -72,12 +72,13 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _vertex_body(code: str) -> Optional[str]:
-    """The text after the header when code is an ASCII vertex file, else None.
+    """The text after the header when code is a vertex file, else None.
 
-    Such a file is the header, nothing but gaps after it on its line, and
-    one or more lines of three [+-]?[0-9]+ tokens between gaps, with
-    whitespace-only lines anywhere.  One translate maps the body's bytes
-    to their classes, and numpy counts the token starts on each line.
+    Past any leading whitespace, such a file is ASCII: the header, nothing
+    but gaps after it on its line, and one or more lines of three
+    [+-]?[0-9]+ tokens between gaps, with whitespace-only lines anywhere.
+    One translate maps the body's bytes to their classes, and numpy
+    counts the token starts on each line.
     """
     code = code.lstrip()
     if not code.startswith(HEADER):
