@@ -8,22 +8,23 @@ band is evaluated with three vectorised integer operations.
 
 A report refines over the bands instead of evaluating them all: each
 step moves one end of a pair by one edge, which changes its taxicab
-distance by exactly 2, so m is 2-Lipschitz in d; and each step changes
-the coordinate sum by 2, so m(d) = 2d (mod 4) and m(d) >= 2 for odd d,
->= 4 for even d.  Between two evaluated bands a < b, every band d thus
-has m(d) >= lb(d) = max(m(a) - 2(d - a), m(b) - 2(b - d), 2 or 4), and
-its ratio is at most 2d / lb(d).  The run evaluates the antipodal band h
-first, with band 0 as a virtual left end (m(0) = 0), and keeps the open
-intervals between evaluated bands in a heap ordered by the largest bound
-inside them, found in closed form.  An interval whose bound is strictly
-below the running maximum is dropped; any other gets the band at its
-bound's argmax evaluated and is split there (Piyavskii-Shubert branch
-and bound).  A band that reaches the final maximum has a bound at least
-that maximum, so it is never dropped: the strict test keeps the witness
-set identical to that of a sweep over every band.  Taken highest bound
-first, every evaluated band other than h has d >= its bound >= the
-maximum, so at most h - ceil(delta) + 1 bands are evaluated; on compact
-knots, where the maximum is small, a few dozen.
+distance by exactly 2, so m is 2-Lipschitz in d, and m(d) >= 2, as
+distinct vertices are at least one unit apart.  Between two evaluated
+bands a < b, every band d thus has m(d) >= lb(d) = max(m(a) - 2(d - a),
+m(b) - 2(b - d), 2), and its ratio is at most 2d / lb(d).  The run
+evaluates the antipodal band h first, with band 0 as a virtual left end
+(m(0) = 0), and keeps the open intervals between evaluated bands in a
+heap ordered by a bound on their bands, the maximum of 2x / lb(x) over
+real x in [a + 1, b - 1], found in closed form.  An interval whose bound
+is strictly below the running maximum is dropped; any other gets the
+band at the ceiling of the bound's argmax evaluated and is split there
+(Piyavskii-Shubert branch and bound).  A band that reaches the final
+maximum has a bound at least that maximum, so it is never dropped: the
+strict test keeps the witness set identical to that of a sweep over
+every band.  Taken highest bound first, every evaluated band other than
+h has d >= its bound >= the maximum, so at most h - ceil(delta) + 1
+bands are evaluated; on compact knots, where the maximum is small, a
+few dozen.
 
 Only the heatmap's row sweep visits every band, and it computes only
 the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
@@ -143,31 +144,21 @@ def _point_pairs(knot: LatticeKnot, p_off: np.ndarray, q_off: np.ndarray) -> set
 
 
 def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
-    """Largest band bound 2d / lb(d) over a < d < b, as (num, den, argmax d).
+    """Bound on the band ratios over a < d < b, as (num, den, split band).
 
-    ma and mb are the band minima at a and b (doubled units), and
-    lb(d) = max(ma - 2(d - a), mb - 2(b - d), 2 if d is odd else 4).
-    Write A = ma + 2a and B = mb - 2b, both multiples of 4 by the parity
-    rule, so the cones are A - 2d and B + 2d.  Within one parity class
-    the floor f is constant, and 2d over the falling cone or over f
-    rises with d, while 2d / (B + 2d) does not, since B <= 0.  The rising
-    cone is the largest term exactly for d >= t = max((A - B) / 4,
-    (f - B) / 2), so over real d the bound peaks at t.  Over the class it
-    peaks at the member next to t on either side, or next to a or b when
-    t lies outside the interval; those few candidates are all checked.
+    ma and mb are the band minima at a and b (doubled units).  Write
+    A = ma + 2a and B = mb - 2b <= 0, so every band between has a minimum
+    of at least lb(x) = max(A - 2x, B + 2x, 2) at x = d.  Over real x,
+    2x / lb(x) rises while the falling cone or the floor is the largest
+    term, and does not rise once the rising cone is, since B <= 0: from
+    t = max((A - B) / 4, 1 - B / 2) on.  So over [a + 1, b - 1] it peaks
+    at t clamped there, the bound is 2t / lb(t), and the split band is
+    ceil(t), which is at least t >= the bound, as lb >= 2.  num = 4t keeps
+    the arithmetic in integers.
     """
     big_a, big_b = ma + 2 * a, mb - 2 * b
-    cross = (big_a - big_b) // 4
-    num, den, arg = 0, 1, a
-    for d in (a + 1, a + 2, cross - 1, cross, cross + 1, 1 - big_b // 2, 2 - big_b // 2,
-              b - 2, b - 1):
-        if a < d < b:
-            lb = max(big_a - 2 * d, big_b + 2 * d)
-            if lb < 2:  # the cones have the parity of 2d, so the floor is larger
-                lb = 2 if d & 1 else 4
-            if 2 * d * den > num * lb:
-                num, den, arg = 2 * d, lb, d
-    return num, den, arg
+    t4 = min(max(big_a - big_b, 4 - 2 * big_b, 4 * a + 4), 4 * b - 4)
+    return t4, max(2 * big_a - t4, 2 * big_b + t4, 4), (t4 + 3) // 4
 
 
 class _Sweep:
@@ -270,8 +261,11 @@ class _Sweep:
         push(0, 0, h, self._step(h))
         while queue:
             _, a, ma, b, mb, num, den, d = heapq.heappop(queue)
-            # the float key orders distinct bounds exactly for n < 10^5 and
-            # only decides the order; the skip test is exact
+            # the float key only decides the order, and orders distinct
+            # bounds exactly for n^3 < 2^51 (n < 2^17): a bound is at most
+            # n/2 with a denominator below 2n, so two differ by more than
+            # 1/(4n^2), while one rounding moves each by at most 2^-54 n;
+            # the skip test is exact
             if num * self.den < self.num * den:
                 continue
             md = self._step(d)
@@ -375,8 +369,8 @@ def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
 
     Only the bands whose Lipschitz bound reaches the running maximum are
     evaluated (see the module docstring): the band minimum is 2-Lipschitz
-    in the arc distance d and congruent to 2d mod 4, so two evaluated
-    bands bound every band between them.  Bands are dropped only when
+    in the arc distance d and at least 2, so two evaluated bands bound
+    every band between them.  Bands are dropped only when
     their bound is strictly below the maximum, so the value and the
     witness set are those of a sweep over every band.
     """

@@ -19,10 +19,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .knotfile import knot_from_moves
+from .knotfile import MOVE_LETTERS, knot_from_moves
 from .lattice import UNIT_STEPS, InvalidKnotError, LatticeKnot, lattice_isometries
 
-# moves 0..5 are +x,-x,+y,-y,+z,-z, written XxYyZz in a move string
+# moves 0..5 are +x,-x,+y,-y,+z,-z, written MOVE_LETTERS[0..5] in a move string
 _STEPS = UNIT_STEPS
 _OPPOSITE = (1, 0, 3, 2, 5, 4)
 
@@ -374,4 +374,4 @@ def exhaustive_small(n_max: int) -> Iterator[LatticeKnot]:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
     for n in range(4, n_max + 1, 2):
         for moves in _enumerate_classes(n):
-            yield knot_from_moves("".join(map("XxYyZz".__getitem__, moves)))
+            yield knot_from_moves("".join(map(MOVE_LETTERS.__getitem__, moves)))

@@ -33,7 +33,9 @@ from .lattice import UNIT_STEPS, LatticeKnot, _coordinate_array
 HEADER = "latticeknot v1"
 
 _INT64 = np.iinfo(np.int64)
-_MOVE_STEPS = dict(zip("XxYyZz", UNIT_STEPS))
+# the move letters, one per unit step in the order of UNIT_STEPS
+MOVE_LETTERS = "XxYyZz"
+_MOVE_STEPS = dict(zip(MOVE_LETTERS, UNIT_STEPS))
 _MOVE_OF_STEP = {v: k for k, v in _MOVE_STEPS.items()}
 # the line boundaries of str.splitlines; \r\n is two of them here, which
 # only adds a blank line
@@ -45,12 +47,13 @@ _INT = r"[+-]?\d++"
 _VERTEX = rf"{_INT}{_GAP}++{_INT}{_GAP}++{_INT}"
 _VERTEX_RE = re.compile(_VERTEX)
 # the class of each byte of a vertex file: 1 digit, 2 sign, 3 gap (the
-# ASCII characters of _GAP), 4 line end (those of _EOL), 0 anything else
+# ASCII characters of _GAP), 4 line end (those of _EOL), 0 anything else,
+# every byte of a non-ASCII character included
 _BYTE_CLASS = bytes(
-    1 if b in b"0123456789" else 2 if b in b"+-" else 3 if b in b" \t\x1f"
-    else 4 if b in b"\n\r\x0b\x0c\x1c\x1d\x1e" else 0
-    for b in range(256)
-)
+    1 if c in "0123456789" else 2 if c in "+-" else 3 if re.fullmatch(_GAP, c)
+    else 4 if re.fullmatch(f"[{_EOL}]", c) else 0
+    for c in map(chr, range(128))
+) + bytes(128)
 
 
 class KnotFileError(ValueError):
@@ -171,7 +174,7 @@ def _move_vertices(moves: str, line: Optional[int] = None) -> np.ndarray:
     bad = [c for c in moves if c not in _MOVE_STEPS]
     if bad:
         raise KnotFileError(
-            f"move characters must be among XxYyZz, found {bad[0]!r}", line
+            f"move characters must be among {MOVE_LETTERS}, found {bad[0]!r}", line
         )
     steps = np.array([_MOVE_STEPS[c] for c in moves], dtype=np.int64)
     final = tuple(steps.sum(axis=0).tolist())

@@ -142,6 +142,26 @@ REFERENCE_VERTEX_FILE_RE = re.compile(
 )
 
 
+# the exact interval bound the engine's branch and bound once used, which
+# also assumed the parity rule m(d) = 2d (mod 4): the largest band bound
+# 2d / lb(d) over the integers a < d < b, as (num, den, argmax d), with
+# lb(d) = max(ma - 2(d - a), mb - 2(b - d), 2 if d is odd else 4); the
+# engine's bound over the reals is at least it
+def reference_interval_bound(a, ma, b, mb):
+    big_a, big_b = ma + 2 * a, mb - 2 * b
+    cross = (big_a - big_b) // 4
+    num, den, arg = 0, 1, a
+    for d in (a + 1, a + 2, cross - 1, cross, cross + 1, 1 - big_b // 2, 2 - big_b // 2,
+              b - 2, b - 1):
+        if a < d < b:
+            lb = max(big_a - 2 * d, big_b + 2 * d)
+            if lb < 2:  # the cones have the parity of 2d, so the floor is larger
+                lb = 2 if d & 1 else 4
+            if 2 * d * den > num * lb:
+                num, den, arg = 2 * d, lb, d
+    return num, den, arg
+
+
 def reference_validate(vertices):
     """Per-vertex check of the knot invariants, violations in the same
     order as validate's."""

@@ -14,6 +14,7 @@ from knotdist import (
 )
 from knotdist.cli import main
 from knotdist.report import build_report
+from test_generators import WALK_DEAD_END
 
 
 @pytest.fixture()
@@ -278,6 +279,20 @@ def test_unreachable_random_length_exits_one(capsys, monkeypatch):
     code, out, err = run(capsys, ["generate", "--kind", "random", "--length", "12"])
     assert (code, out) == (1, "")
     assert err == "error: polygon length must be at most 11, got 12\n"
+
+
+def test_generator_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "_repair_touches", lambda walk: None)
+    code, out, err = run(capsys, ["generate", "--kind", "torus", "--scale", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("internal error: could not realise torus knot (2, 3) on the lattice; "
+                   "tried scales [2, 3, 4, 5]\n")
+    length, seed = WALK_DEAD_END
+    monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", length - 1)
+    code, out, err = run(capsys, ["generate", "--kind", "random", "--length", str(length),
+                                  "--seed", str(seed)])
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: no closed self-avoiding polygon of length 4000")
 
 
 class TestHeatmapCommand:

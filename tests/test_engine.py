@@ -42,11 +42,13 @@ from conftest import (
     reference_heatmap_csv,
     reference_heatmap_json,
     reference_heatmap_rows,
+    reference_interval_bound,
     reference_row_maxima,
     reference_vertex_distortion,
     reference_vertex_report,
     witness_true_pairs,
 )
+from test_tooling import load_perfbench
 
 
 def reference_gromov1(knot):
@@ -188,20 +190,86 @@ def evaluated_interval(draw):
     return a, ma, b, draw(st.sampled_from(choices))
 
 
-def lower_bound(a, ma, b, mb, d):
-    return max(ma - 2 * (d - a), mb - 2 * (b - d), 2 if d % 2 else 4)
+@st.composite
+def lipschitz_interval(draw):
+    """Two bands a < b with any minima in [2, 2d] obeying the Lipschitz rule."""
+    a = draw(st.integers(0, 40))
+    b = a + draw(st.integers(2, 60))
+    ma = draw(st.integers(2, 2 * a)) if a else 0
+    mb = draw(st.integers(max(2, ma - 2 * (b - a)), min(2 * b, ma + 2 * (b - a))))
+    return a, ma, b, mb
+
+
+def lower_bound(a, ma, b, mb, x):
+    return max(ma - 2 * (x - a), mb - 2 * (b - x), 2)
+
+
+def band_maximum(a, ma, b, mb):
+    """The largest 2d / lower_bound over the bands a < d < b."""
+    return max(Fraction(2 * d, lower_bound(a, ma, b, mb, d)) for d in range(a + 1, b))
+
+
+def refinement_knots(small_corpus):
+    return (
+        small_corpus + list(exhaustive_small(10))
+        + [rectangle(a, b) for a in range(1, 9) for b in range(a, 30, 3)]
+        + [random_polygon(length, seed) for length in range(4, 301, 8) for seed in range(2)]
+        + [torus_knot(2, 3, s) for s in range(2, 9)] + [torus_knot(3, 4, 4)]
+    )
 
 
 class TestRefinement:
     @settings(max_examples=500)
-    @given(evaluated_interval())
-    def test_interval_bound_equals_brute_force(self, interval):
+    @given(st.one_of(evaluated_interval(), lipschitz_interval()))
+    def test_interval_bound_equals_quarter_step_brute_force(self, interval):
+        # the real maximum sits at a multiple of 1/4, so quarter steps find it
         a, ma, b, mb = interval
-        num, den, arg = knotdist.engine._interval_bound(a, ma, b, mb)
-        want = max(Fraction(2 * d, lower_bound(a, ma, b, mb, d)) for d in range(a + 1, b))
-        assert Fraction(num, den) == want
-        assert a < arg < b
-        assert Fraction(2 * arg, lower_bound(a, ma, b, mb, arg)) == want
+        num, den, d = knotdist.engine._interval_bound(a, ma, b, mb)
+        quarters = (Fraction(k, 4) for k in range(4 * a + 4, 4 * b - 3))
+        assert Fraction(num, den) == max(2 * x / lower_bound(a, ma, b, mb, x) for x in quarters)
+        assert d == math.ceil(Fraction(num, 4))
+        # the float key's exactness assumes a denominator below 2n, n >= 2b
+        assert den < 4 * b
+
+    @settings(max_examples=500)
+    @given(evaluated_interval())
+    def test_interval_bound_dominates_the_exact_parity_bound(self, interval):
+        a, ma, b, mb = interval
+        num, den, d = knotdist.engine._interval_bound(a, ma, b, mb)
+        ref_num, ref_den, _ = reference_interval_bound(a, ma, b, mb)
+        assert Fraction(num, den) >= Fraction(ref_num, ref_den)
+        assert a < d < b and d >= Fraction(num, den)
+
+    @settings(max_examples=500)
+    @given(lipschitz_interval())
+    def test_interval_bound_without_parity(self, interval):
+        a, ma, b, mb = interval
+        num, den, d = knotdist.engine._interval_bound(a, ma, b, mb)
+        assert Fraction(num, den) >= band_maximum(a, ma, b, mb)
+        assert a < d < b and d >= Fraction(num, den)
+
+    def test_same_bands_as_the_exact_parity_bound(self, monkeypatch, small_corpus):
+        # the bound over the reals is looser than the exact one on some
+        # intervals, but evaluates the same bands in the same order
+        corpus = load_perfbench(monkeypatch, "corpus")
+        bases = dict.fromkeys(base for w in corpus.WORKLOADS.values() for base in w.full)
+        knots = refinement_knots(small_corpus) + [
+            LatticeKnot.from_true(corpus.generate(base, knotdist.generators)) for base in bases
+        ]
+        bands = []
+        step = knotdist.engine._Sweep._step
+        monkeypatch.setattr(knotdist.engine._Sweep, "_step",
+                            lambda sweep, d: bands.append(d) or step(sweep, d))
+
+        def run(knot, bound):
+            monkeypatch.setattr(knotdist.engine, "_interval_bound", bound)
+            bands.clear()
+            rep = vertex_distortion(knot)
+            return rep, rep._index_pairs, bands.copy()
+
+        interval_bound = knotdist.engine._interval_bound
+        for knot in knots:
+            assert run(knot, interval_bound) == run(knot, reference_interval_bound), knot
 
     def test_hairpin_two_bands(self):
         # the antipodal band and band 4999, as the descending cut did
@@ -225,11 +293,7 @@ class TestRefinement:
     def test_never_more_bands_than_descending_cut(self, small_corpus):
         # a descending loop that stops below delta evaluates at least
         # the bands h, h - 1, ..., ceil(delta)
-        knots = small_corpus + list(exhaustive_small(10))
-        knots += [rectangle(a, b) for a in range(1, 9) for b in range(a, 30, 3)]
-        knots += [random_polygon(length, seed) for length in range(4, 301, 8) for seed in range(2)]
-        knots += [torus_knot(2, 3, s) for s in range(2, 9)] + [torus_knot(3, 4, 4)]
-        for knot in knots:
+        for knot in refinement_knots(small_corpus):
             rep = vertex_distortion(knot)
             assert bands_evaluated(knot, rep) <= knot.n // 2 - math.ceil(rep.delta) + 1, knot
             skipped = bands_evaluated(knot, rep) < knot.n // 2
@@ -393,6 +457,12 @@ class TestBuildReport:
             for flags in ({}, {"with_heatmap": True}):
                 g1 = build_report(knot, **flags)["gromov1"]
                 assert Fraction(g1["num"], g1["den"]) == delta, (knot, flags)
+
+    def test_render_json_refuses_values_other_than_halves(self):
+        # json.dumps hands render_json only the values it cannot write itself
+        for value in (Fraction(1, 3), Fraction(3), object()):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                render_json({"delta": value})
 
     def test_far_gromov1_witnesses_are_exact(self):
         # a float rounds half-integers past 2**52; the JSON must not

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from knotdist import (
     THRESHOLD_LOW,
+    GeneratorError,
     exhaustive_small,
     random_polygon,
     rectangle,
@@ -33,6 +34,9 @@ from knotdist.generators import (
 from conftest import reference_sample_torus
 from test_tooling import load_perfbench
 
+# a random polygon (length, seed) whose every search attempt backs out of a
+# dead end at least once
+WALK_DEAD_END = (4000, 9)
 TORUS_GRID = [(p, q, s) for p in range(2, 8) for q in range(2, 8) if math.gcd(p, q) == 1
               for s in range(2, 25)]
 
@@ -104,6 +108,19 @@ class TestTorusKnot:
                 for tried in range(s, s + _TORUS_SCALES_TRIED):
                     assert 64 * int(2 * math.pi * math.hypot(2 * p, q) * tried) <= bound
                     assert len(_sample_torus(p, q, tried)) <= bound
+
+    def test_retries_the_next_scale(self):
+        # the walk rounded at scale 2 keeps a touch point no detour clears
+        walk = _drop_backtracks(generators._connect(_sample_torus(2, 11, 2)))
+        assert _repair_touches(walk) is None
+        knot = torus_knot(2, 11, 2)
+        assert knot == torus_knot(2, 11, 3)
+        assert knot.n == 328
+
+    def test_gives_up_after_the_scales_tried(self, monkeypatch):
+        monkeypatch.setattr(generators, "_repair_touches", lambda walk: None)
+        with pytest.raises(GeneratorError, match=r"\(2, 3\).*tried scales \[2, 3, 4, 5\]$"):
+            torus_knot(2, 3, 2)
 
     def test_doubling_stability(self, trefoil):
         assert (
@@ -235,6 +252,14 @@ class TestRandomPolygon:
         monkeypatch.setattr(knotdist.generators, "_WALK_NODE_BUDGET", 10)
         with pytest.raises(ValueError, match="at most 11"):
             random_polygon(12, 0)
+
+    def test_search_budget_exhausted(self, monkeypatch):
+        # a budget of length - 1 nodes leaves no room to back out of a dead
+        # end, and seed 9 meets one in each attempt at this length
+        length, seed = WALK_DEAD_END
+        monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", length - 1)
+        with pytest.raises(GeneratorError, match=f"length {length} found for seed {seed}$"):
+            random_polygon(length, seed)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**9), length=st.sampled_from([4, 6, 10, 22, 40]))
