@@ -29,6 +29,7 @@ from knotdist import (
     rectangle,
     torus_knot,
 )
+from knotdist.engine import _Sweep
 from knotdist.lattice import COORD_LIMIT
 
 
@@ -380,6 +381,15 @@ def witness_true_pairs(report):
         tb = tuple(c // 2 for c in b)
         out.add(tuple(sorted((ta, tb))))
     return out
+
+
+@pytest.fixture
+def band_log(monkeypatch) -> list[int]:
+    """The bands the branch and bound evaluates from here on, in order."""
+    bands = []
+    step = _Sweep._step
+    monkeypatch.setattr(_Sweep, "_step", lambda sweep, d: bands.append(d) or step(sweep, d))
+    return bands
 
 
 @pytest.fixture(scope="session")

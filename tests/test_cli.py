@@ -292,7 +292,8 @@ def test_generator_failure_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, ["generate", "--kind", "random", "--length", str(length),
                                   "--seed", str(seed)])
     assert (code, out) == (2, "")
-    assert err.startswith("internal error: no closed self-avoiding polygon of length 4000")
+    assert err == (f"internal error: no closed self-avoiding polygon of length {length} "
+                   f"found for seed {seed}\n")
 
 
 class TestHeatmapCommand:

@@ -248,7 +248,7 @@ class TestRefinement:
         assert Fraction(num, den) >= band_maximum(a, ma, b, mb)
         assert a < d < b and d >= Fraction(num, den)
 
-    def test_same_bands_as_the_exact_parity_bound(self, monkeypatch, small_corpus):
+    def test_same_bands_as_the_exact_parity_bound(self, monkeypatch, small_corpus, band_log):
         # the bound over the reals is looser than the exact one on some
         # intervals, but evaluates the same bands in the same order
         corpus = load_perfbench(monkeypatch, "corpus")
@@ -256,16 +256,12 @@ class TestRefinement:
         knots = refinement_knots(small_corpus) + [
             LatticeKnot.from_true(corpus.generate(base, knotdist.generators)) for base in bases
         ]
-        bands = []
-        step = knotdist.engine._Sweep._step
-        monkeypatch.setattr(knotdist.engine._Sweep, "_step",
-                            lambda sweep, d: bands.append(d) or step(sweep, d))
 
         def run(knot, bound):
             monkeypatch.setattr(knotdist.engine, "_interval_bound", bound)
-            bands.clear()
+            band_log.clear()
             rep = vertex_distortion(knot)
-            return rep, rep._index_pairs, bands.copy()
+            return rep, rep._index_pairs, band_log.copy()
 
         interval_bound = knotdist.engine._interval_bound
         for knot in knots:

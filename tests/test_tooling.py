@@ -144,22 +144,18 @@ def test_benchmark_bases_match_their_answers(monkeypatch):
             assert corpus.fingerprint(vertices) == answers[base.name]["sha256"], base.name
 
 
-def test_benchmark_band_counts(monkeypatch):
+def test_benchmark_band_counts(monkeypatch, band_log):
     # the bands the branch and bound evaluates over each workload's full
     # bases, at most as many as when these limits were set; a change to
     # _refine that loosens its pruning raises them
     corpus = load_perfbench(monkeypatch, "corpus")
     limits = {"compact_compute": 407, "hairpin_certify": 215, "heatmap_report": 187}
-    bands = []
-    step = knotdist.engine._Sweep._step
-    monkeypatch.setattr(knotdist.engine._Sweep, "_step",
-                        lambda sweep, d: bands.append(d) or step(sweep, d))
     for name, workload in corpus.WORKLOADS.items():
-        bands.clear()
+        band_log.clear()
         for base in workload.full:
             vertices = corpus.generate(base, generators)
             knotdist.vertex_distortion(knotdist.LatticeKnot.from_true(vertices))
-        assert len(bands) <= limits[name], name
+        assert len(band_log) <= limits[name], name
 
 
 def test_heatmap_benchmark_runs_the_int16_kernel(monkeypatch):
