@@ -166,6 +166,16 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     Returns a ValidationResult whose violations name the failed invariant
     and the offending index or pair, grouped by invariant and in index
     order.  Violations are data: only non-integer or misshapen input raises.
+
+    Closure and embedding are read off one key per vertex,
+    ((x - lo_x) R_y + (y - lo_y)) R_z + (z - lo_z), with lo_k the least
+    coordinate and s_k the span of axis k and R_k = s_k + 2.  Equal keys are
+    equal vertices.  As |dy| <= R_y - 2 and |dz| <= R_z - 2, a step moves the
+    key by 1, R_z or R_y R_z exactly when it is a unit step; with a radix of
+    s_k + 1, (0, 0, 1) -> (0, 1, 0) would move it by 1.  The key is int64
+    while (s_x + 2) R_y R_z < 2^63: a closed polygon of n edges spans at most
+    n/2 per axis, so only an input that is not closed, or a knot of about
+    4.19 million edges or more, needs the Python-int key.
     """
     a = _true_coords(vertices)
     n = len(a)
@@ -178,37 +188,28 @@ def validate(vertices: TrueVertices) -> ValidationResult:
         violations.append(
             Violation("odd_length", (n,), f"{n} edges; closed lattice polygons have even length")
         )
-    # one contiguous row per axis: each test below is a pass over n values
-    c = np.ascontiguousarray(a.T)
-    dx, dy, dz = np.abs(np.roll(c, -1, axis=1) - c)
-    # each axis at most 1 before summing: three large steps can wrap to 1
-    unit = (dx <= 1) & (dy <= 1) & (dz <= 1) & (dx + dy + dz == 1)
-    for i in np.nonzero(~unit)[0].tolist():
+    if not n:
+        return ValidationResult(False, tuple(violations))
+    rows = np.ascontiguousarray(a.T)
+    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    ry, rz = hi[1] - lo[1] + 2, hi[2] - lo[2] + 2
+    key_type = np.int64 if (hi[0] - lo[0] + 2) * ry * rz <= COORD_LIMIT else object
+    # int64 rows lie within +-_TRUE_LIMIT, and every partial sum of the key in [0, 2^63)
+    x, y, z = rows.astype(object) if key_type is object else rows
+    key = (((x - lo[0]) * ry + (y - lo[1])) * rz + (z - lo[2])).astype(key_type, copy=False)
+    step = np.abs(np.diff(key, append=key[:1]))
+    for i in np.flatnonzero((step != 1) & (step != rz) & (step != ry * rz)).tolist():
         j = (i + 1) % n
-        violations.append(
-            Violation(
-                "not_closed",
-                (i, j),
-                f"vertices {i} and {j} are not joined by a unit lattice step",
-            )
-        )
-    # a stable sort puts each vertex's first occurrence at the head of its group
-    order = np.lexsort(c[::-1])
-    x, y, z = c.take(order, axis=1)
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (x[1:] == x[:-1]) & (y[1:] == y[:-1]) & (z[1:] == z[:-1])
-    head = np.maximum.accumulate(np.where(repeat, 0, np.arange(n)))
-    later = order[repeat]
-    first = order[head[repeat]]
-    by_index = np.argsort(later)
-    for i, f in zip(later[by_index].tolist(), first[by_index].tolist()):
-        violations.append(
-            Violation(
-                "not_embedded",
-                (f, i),
-                f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}",
-            )
-        )
+        message = f"vertices {i} and {j} are not joined by a unit lattice step"
+        violations.append(Violation("not_closed", (i, j), message))
+    # a stable sort puts each vertex's first occurrence at the head of its run of equal keys
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeat = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    first = order[np.searchsorted(ranked, ranked[repeat])]
+    for i, f in sorted(zip(order[repeat].tolist(), first.tolist())):
+        message = f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}"
+        violations.append(Violation("not_embedded", (f, i), message))
     if a.dtype == object:
         for i in np.nonzero((np.abs(a) > _TRUE_LIMIT).any(axis=1))[0].tolist():
             violations.append(

@@ -392,6 +392,21 @@ def band_log(monkeypatch) -> list[int]:
     return bands
 
 
+@pytest.fixture
+def key_dtypes(monkeypatch) -> list[np.dtype]:
+    """The dtype of every key validate sorts from here on, one per call."""
+    dtypes = []
+    argsort = np.argsort
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            dtypes.append(a.dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    return dtypes
+
+
 @pytest.fixture(scope="session")
 def unit_square() -> LatticeKnot:
     return rectangle(1, 1)

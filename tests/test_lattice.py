@@ -37,8 +37,14 @@ from conftest import (
     reference_validate,
     reference_vertex_report,
 )
+from test_knotfile import peak_memory
 
 UNIT_SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+# boxes past int64: a unit square with one vertex moved far out, and the
+# input of test_large_steps_do_not_wrap_to_a_unit_step
+FAR_CORNER = [(0, 0, 0), (1, 0, 0), (2**30, 2**30, 2**30), (0, 1, 0)]
+WRAPPING = [(2**62 - 1, 2**62 - 1, 0), (1 - 2**62, 1 - 2**62, 5), (1 - 2**62, 1 - 2**62, 6),
+            (2**62 - 1, 2**62 - 1, 1)]
 
 
 class TestValidate:
@@ -75,7 +81,9 @@ class TestValidate:
 
 
 class TestInt64Limits:
-    """validate computes in int64 only where no step can wrap."""
+    """validate keys each vertex by one int64 only while the input's box
+    (each axis's span plus 2, multiplied) stays below 2^63, so no key or
+    key step can wrap; past it the key holds Python ints."""
 
     def test_large_steps_do_not_wrap_to_a_unit_step(self):
         # per axis |d| is 2^63 - 2, 2^63 - 2 and 5: their int64 sum wraps to 1
@@ -121,6 +129,76 @@ class TestInt64Limits:
         result = validate(np.array(far, dtype=np.uint64))
         assert not result.ok
         assert result == reference_validate(far)
+
+
+    def test_key_radix_keeps_the_axes_apart(self):
+        # with a radix of span + 1, the step (0, 0, 1) -> (0, 1, 0) would
+        # move the key by 1 and pass as a unit step
+        vertices = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+        result = validate(vertices)
+        assert [(v.code, v.where) for v in result.violations] == [
+            ("not_closed", (1, 2)),
+            ("not_closed", (3, 0)),
+        ]
+        assert result == reference_validate(vertices)
+
+    @pytest.mark.parametrize("vertices", [FAR_CORNER, WRAPPING], ids=["far_corner", "wrapping"])
+    def test_box_past_int64_takes_the_python_int_key(self, vertices, key_dtypes):
+        expected = reference_validate(vertices)
+        assert not expected.ok
+        assert validate(vertices) == expected
+        assert validate(np.array(vertices, dtype=np.int64)) == expected
+        assert key_dtypes == [np.dtype(object)] * 2
+
+    @pytest.mark.parametrize("corner", [2**62 - 2, -(2**62) + 2, 2**63, -(2**64)])
+    def test_closed_input_takes_the_int64_key(self, corner, key_dtypes):
+        # a closed input spans at most n/2 per axis, wherever it lies, even
+        # outside the coordinate range
+        vertices = [(corner + x, y, z) for x, y, z in UNIT_SQUARE]
+        assert validate(vertices) == reference_validate(vertices)
+        assert key_dtypes == [np.dtype(np.int64)]
+
+
+LARGE_OFFSET = st.sampled_from([0, 1, -1, 10**15, -(10**15), 2**62, -(2**63), 10**30])
+
+
+@st.composite
+def mutated_walks(draw):
+    """A short random closed walk after one or two of: a vertex repeated,
+    two swapped, one moved by a large offset, all shifted past +-2^62."""
+    v = random_polygon(draw(st.sampled_from([4, 6, 8, 10, 14, 20])),
+                       draw(st.integers(0, 10**6))).true_vertices()
+    for kind in draw(st.lists(st.sampled_from(["repeat", "swap", "move", "shift"]),
+                              min_size=1, max_size=2)):
+        i, j = draw(st.integers(0, len(v) - 1)), draw(st.integers(0, len(v) - 1))
+        if kind == "repeat":
+            v.insert(j, v[i])
+        elif kind == "swap":
+            v[i], v[j] = v[j], v[i]
+        elif kind == "move":
+            offset = draw(st.tuples(LARGE_OFFSET, LARGE_OFFSET, LARGE_OFFSET))
+            v[i] = tuple(c + d for c, d in zip(v[i], offset))
+        else:
+            shift = draw(st.sampled_from([1, -1])) * (2**62 - draw(st.integers(0, 8)))
+            axes = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+            v = [tuple(c + shift * k for c, k in zip(p, axes)) for p in v]
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertices=mutated_walks())
+def test_validate_equals_the_reference_on_mutated_walks(vertices):
+    expected = reference_validate(vertices)
+    assert validate(vertices) == expected
+    if all(-(2**63) <= c < 2**63 for p in vertices for c in p):
+        assert validate(np.array(vertices, dtype=np.int64)) == expected
+
+
+def test_validate_peak_memory():
+    # one int64 key per vertex, sorted once: about 2.4x the input; the
+    # three-row lexsort and compares it replaced reached 4.1x
+    vertices = np.array(rectangle(1, 4999).true_vertices(), dtype=np.int64)
+    assert peak_memory(validate, vertices) < 3 * vertices.nbytes
 
 
 class TestNonIntegerInput:

@@ -158,6 +158,21 @@ def test_benchmark_band_counts(monkeypatch, band_log):
         assert len(band_log) <= limits[name], name
 
 
+def test_benchmark_files_validate_on_the_int64_key(monkeypatch, key_dtypes):
+    # validate keys a vertex by Python ints only when the input's box is
+    # past int64; a radix that did so for a benchmark file would time the
+    # object path instead
+    corpus = load_perfbench(monkeypatch, "corpus")
+    for name, workload in corpus.WORKLOADS.items():
+        rng = random.Random(f"perfbench:{name}:1")  # perfbench/run.py's draw at seed 1
+        for base in workload.full:
+            vertices = corpus.generate(base, generators)
+            sym = corpus.Symmetry.draw(rng, len(vertices), base.far)
+            key_dtypes.clear()
+            assert knotdist.validate(knotfile.parse_vertices(corpus.knot_text(vertices, sym)))
+            assert key_dtypes == [np.dtype(np.int64)], base.name
+
+
 def test_heatmap_benchmark_runs_the_int16_kernel(monkeypatch):
     # heatmap_report times the row sweep, which runs in int16 only while
     # 3n < 2^15; a larger base would time the int32 kernel instead
