@@ -194,7 +194,7 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
     ry, rz = hi[1] - lo[1] + 2, hi[2] - lo[2] + 2
     key_type = np.int64 if (hi[0] - lo[0] + 2) * ry * rz <= COORD_LIMIT else object
-    # int64 rows lie within +-_TRUE_LIMIT, and every partial sum of the key in [0, 2^63)
+    # int64 rows lie within +-_TRUE_LIMIT and each partial sum of an int64 key in [0, 2^63)
     x, y, z = rows.astype(object) if key_type is object else rows
     key = (((x - lo[0]) * ry + (y - lo[1])) * rz + (z - lo[2])).astype(key_type, copy=False)
     step = np.abs(np.diff(key, append=key[:1]))

@@ -130,7 +130,6 @@ class TestInt64Limits:
         assert not result.ok
         assert result == reference_validate(far)
 
-
     def test_key_radix_keeps_the_axes_apart(self):
         # with a radix of span + 1, the step (0, 0, 1) -> (0, 1, 0) would
         # move the key by 1 and pass as a unit step
