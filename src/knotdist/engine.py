@@ -24,7 +24,8 @@ strict test keeps the witness set identical to that of a sweep over
 every band.  Taken highest bound first, every evaluated band other than
 h has d >= its bound >= the maximum, so at most h - ceil(delta) + 1
 bands are evaluated; on compact knots, where the maximum is small, a
-few dozen.
+few dozen.  The Euclidean bound runs the same branch and bound on the
+floors of its band minima (see euclidean_vertex_lower_bound).
 
 Only the heatmap's row sweep visits every band, and it computes only
 the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
@@ -46,6 +47,7 @@ are arc offsets in the convention of the lattice module docstring.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,15 +148,15 @@ def _point_pairs(knot: LatticeKnot, p_off: np.ndarray, q_off: np.ndarray) -> set
 def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
     """Bound on the band ratios over a < d < b, as (num, den, split band).
 
-    ma and mb are the band minima at a and b (doubled units).  Write
-    A = ma + 2a and B = mb - 2b <= 0, so every band between has a minimum
-    of at least lb(x) = max(A - 2x, B + 2x, 2) at x = d.  Over real x,
-    2x / lb(x) rises while the falling cone or the floor is the largest
-    term, and does not rise once the rising cone is, since B <= 0: from
-    t = max((A - B) / 4, 1 - B / 2) on.  So over [a + 1, b - 1] it peaks
-    at t clamped there, the bound is 2t / lb(t), and the split band is
-    ceil(t), which is at least t >= the bound, as lb >= 2.  num = 4t keeps
-    the arithmetic in integers.
+    ma and mb are the floors of the band minima at a and b (doubled
+    units).  Write A = ma + 2a and B = mb - 2b <= 0, so every band between
+    has a minimum of at least lb(x) = max(A - 2x, B + 2x, 2) at x = d.
+    Over real x, 2x / lb(x) rises while the falling cone or the floor is
+    the largest term, and does not rise once the rising cone is, since
+    B <= 0: from t = max((A - B) / 4, 1 - B / 2) on.  So over
+    [a + 1, b - 1] it peaks at t clamped there, the bound is 2t / lb(t),
+    and the split band is ceil(t), which is at least t >= the bound, as
+    lb >= 2.  num = 4t keeps the arithmetic in integers.
     """
     big_a, big_b = ma + 2 * a, mb - 2 * b
     t4 = min(max(big_a - big_b, 4 - 2 * big_b, 4 * a + 4), 4 * b - 4)
@@ -244,6 +246,10 @@ class _Sweep:
                 self.index_pairs.add((min(i, j), max(i, j)))
         return dmin
 
+    def _below(self, num: int, den: int) -> bool:
+        """Whether a bound num/den is strictly below the running maximum."""
+        return num * self.den < self.num * den
+
     def _refine(self) -> None:
         """Evaluate every band whose bound reaches the running maximum.
 
@@ -266,7 +272,7 @@ class _Sweep:
             # n/2 with a denominator below 2n, so two differ by more than
             # 1/(4n^2), while one rounding moves each by at most 2^-54 n;
             # the skip test is exact
-            if num * self.den < self.num * den:
+            if self._below(num, den):
                 continue
             md = self._step(d)
             push(a, ma, d, md)
@@ -349,29 +355,26 @@ class _Sweep:
         witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
         return DistortionReport(Fraction(self.num, self.den), witnesses, self.pairs, index_pairs)
 
-    def run_euclidean(self) -> Fraction:
-        n = self.n
-        num, den = 0, 1
-        for d in range(n // 2, 0, -1):
-            # doubled squared distances are >= 4, so band d gives at most d^2
-            if num >= d * d * den:
-                break
-            # squared sums reach 3 n^2, past int32
-            diff = np.subtract(self.coords[:, :n], self.windows[:, n - d], dtype=np.int64)
-            e2 = int(np.square(diff).sum(axis=0).min())
-            if 4 * d * d * den > num * e2:
-                num, den = 4 * d * d, e2
-        return Fraction(num, den)
+
+class _EuclideanSweep(_Sweep):
+    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound)."""
+
+    def _step(self, d: int) -> int:
+        self._bands(d, d + 1)
+        e2 = int(np.square(self.diff[:, 0], dtype=np.int64).sum(axis=0).min())
+        if 4 * d * d * self.den > self.num * e2:
+            self.num, self.den = 4 * d * d, e2
+        return math.isqrt(e2)
+
+    def _below(self, num: int, den: int) -> bool:
+        return num * num * self.den < self.num * den * den
 
 
 def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
     """Maximum of arc/taxicab over all vertex pairs, with all witnesses.
 
-    Only the bands whose Lipschitz bound reaches the running maximum are
-    evaluated (see the module docstring): the band minimum is 2-Lipschitz
-    in the arc distance d and at least 2, so two evaluated bands bound
-    every band between them.  Bands are dropped only when
-    their bound is strictly below the maximum, so the value and the
+    A band is skipped only when its Lipschitz bound is strictly below the
+    running maximum (see the module docstring), so the value and the
     witness set are those of a sweep over every band.
     """
     sweep = _Sweep(knot)
@@ -514,6 +517,13 @@ def euclidean_vertex_lower_bound(knot: LatticeKnot) -> Fraction:
 
     A lower bound for the squared Gromov distortion of the curve; always
     at least the squared vertex distortion since Euclidean distance never
-    exceeds taxicab distance.
+    exceeds taxicab distance.  vertex_distortion's branch and bound finds
+    it on band values isqrt(e2), e2 a band's least squared distance: an
+    edge step moves a distance by at most 2 (doubled units), so sqrt(e2)
+    and its floor, 2 being an integer, change by at most 2 per band, and
+    distinct vertices are 2 apart, so isqrt(e2) >= 2.  Its bound on
+    2d / isqrt(e2) >= 2d / sqrt(e2) is compared squared with 4d^2 / e2.
     """
-    return _Sweep(knot).run_euclidean()
+    sweep = _EuclideanSweep(knot)
+    sweep._refine()
+    return Fraction(sweep.num, sweep.den)

@@ -384,9 +384,9 @@ def transform(
     """
     perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
     shift = [2 * t for t in translate]
-    lo, hi = knot.coords.min(axis=0).tolist(), knot.coords.max(axis=0).tolist()
+    rows = np.ascontiguousarray(knot.coords.T)  # strided column reductions cost more
     for k in range(3):
-        a, b = lo[perm[k]], hi[perm[k]]
+        a, b = int(rows[perm[k]].min()), int(rows[perm[k]].max())
         ends = (a, b, signs[k] * a + shift[k], signs[k] * b + shift[k], shift[k])
         if max(map(abs, ends)) > COORD_LIMIT:
             raise OverflowError("the transformed knot leaves the 64-bit coordinate range")

@@ -65,6 +65,23 @@ def reference_euclidean_bound(true_vertices):
     return best
 
 
+def reference_euclidean_descending(knot):
+    """The same maximum, band by band from the antipodal one down.
+
+    Doubled squared distances are at least 4, so band d gives at most d^2,
+    and the loop stops once d^2 falls to the running maximum: O(n) per
+    band, for sizes where the pairwise loop above is too slow.
+    """
+    c = knot.coords
+    best = Fraction(0)
+    for d in range(knot.n // 2, 0, -1):
+        if best >= d * d:
+            break
+        # row i of the rolled array is vertex i - d
+        diff = c - np.roll(c, d, axis=0)
+        best = max(best, Fraction(4 * d * d, int((diff * diff).sum(axis=1).min())))
+    return best
+
 _REFERENCE_HEADER = "latticeknot v1"
 _REFERENCE_STEPS = {
     "X": (1, 0, 0), "x": (-1, 0, 0),

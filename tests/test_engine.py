@@ -39,6 +39,7 @@ from knotdist.report import (
 )
 from conftest import (
     reference_euclidean_bound,
+    reference_euclidean_descending,
     reference_heatmap_csv,
     reference_heatmap_json,
     reference_heatmap_rows,
@@ -591,6 +592,8 @@ class TestSweepLayout:
         # pairs_examined differs by design: the branch and bound skips bands
         assert (got.delta, got.witnesses, got._index_pairs) == (
             want.delta, want.witnesses, want._index_pairs)
+        # the Euclidean step squares diffs of the kernel's dtype
+        assert euclidean_vertex_lower_bound(knot) == reference_euclidean_descending(knot)
 
     @pytest.mark.parametrize("n, dtype", [(10_922, np.int16), (10_924, np.int32)])
     def test_taxicab_sums_of_3n_at_the_int16_bound(self, n, dtype):
@@ -616,11 +619,45 @@ class TestEuclideanBound:
         knots = small_corpus + [random_polygon(length, seed) for length in range(4, 121, 4)
                                 for seed in range(3)]
         knots += [torus_knot(2, 3, s) for s in range(2, 5)]
-        knots += [rectangle(1, k) for k in (1, 9, 50)]
+        knots += [rectangle(1, k) for k in (1, 9, 50)] + list(exhaustive_small(10))
         knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
         for knot in knots:
             want = reference_euclidean_bound(knot.true_vertices())
             assert euclidean_vertex_lower_bound(knot) == want, knot
+
+    def test_large_knots_against_the_descending_loop(self):
+        knots = [rectangle(500, 500), torus_knot(2, 3, 40), torus_knot(2, 5, 20),
+                 rectangle(1, 4999), random_polygon(2000, 0)]
+        knots += [transform(k, translate=(2**40, 2**40, 2**40)) for k in knots]
+        for knot in knots:
+            assert euclidean_vertex_lower_bound(knot) == reference_euclidean_descending(knot), knot
+
+    def test_band_values_are_floors_of_the_minima(self, monkeypatch, small_corpus):
+        # the interval bound holds for lower bounds on the band minima: a
+        # value rounded up, even by one, may drop a band it should keep
+        seen = []
+        step = knotdist.engine._EuclideanSweep._step
+        monkeypatch.setattr(knotdist.engine._EuclideanSweep, "_step",
+                            lambda sweep, d: seen.append((d, step(sweep, d))) or seen[-1][1])
+        for knot in small_corpus + [torus_knot(2, 3, 4), random_polygon(200, 1)]:
+            seen.clear()
+            euclidean_vertex_lower_bound(knot)
+            c = knot.coords
+            for d, m in seen:
+                diff = c - np.roll(c, d, axis=0)
+                e2 = int((diff * diff).sum(axis=1).min())
+                assert m * m <= e2 < (m + 1) ** 2, (knot, d)
+
+    @pytest.mark.parametrize("knot, most", [(rectangle(2500, 2500), 60),
+                                            (torus_knot(2, 3, 40), 80)])
+    def test_few_bands(self, monkeypatch, knot, most):
+        # the descending loop evaluated 4,998 of 5,000 and 956 of 968 bands
+        calls = []
+        bands = knotdist.engine._Sweep._bands
+        monkeypatch.setattr(knotdist.engine._Sweep, "_bands",
+                            lambda sweep, d0, d1: calls.append(d0) or bands(sweep, d0, d1))
+        euclidean_vertex_lower_bound(knot)
+        assert 0 < len(calls) <= most
 
     def test_dominates_squared_delta(self, small_corpus, trefoil):
         for knot in small_corpus + [trefoil]:
