@@ -651,7 +651,7 @@ class TestEuclideanBound:
     @pytest.mark.parametrize("knot, most", [(rectangle(2500, 2500), 60),
                                             (torus_knot(2, 3, 40), 80)])
     def test_few_bands(self, monkeypatch, knot, most):
-        # the descending loop evaluated 4,998 of 5,000 and 956 of 968 bands
+        # a descending loop evaluates 4,998 of 5,000 and 956 of 968 bands here
         calls = []
         bands = knotdist.engine._Sweep._bands
         monkeypatch.setattr(knotdist.engine._Sweep, "_bands",
