@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .lattice import LatticeKnot, LatticePoint
+from .lattice import LatticeKnot, LatticePoint, _axis_extremes
 from .metrics import taxicab_doubled
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
@@ -185,11 +185,9 @@ class _Sweep:
             raise ValueError(
                 f"knot has {n} edges; the int32 band kernel takes at most {MAX_SWEEP_EDGES}"
             )
-        # one contiguous row per axis; strided (n, 3) reductions cost most of the set-up
-        v = np.ascontiguousarray(knot.coords.T)
-        lo = v.min(axis=1)
+        v, lo, hi = _axis_extremes(knot.coords)
         # Python ints: an unvalidated knot may span more than int64
-        if max(int(h) - int(l) for h, l in zip(v.max(axis=1), lo)) > n:
+        if max(h - l for h, l in zip(hi, lo)) > n:
             raise ValueError(
                 "knot coordinates span more than its length; not a closed unit-step polygon"
             )
@@ -197,7 +195,7 @@ class _Sweep:
         # C order, so the kernel reads each coordinate row contiguously; the
         # int64 values fit the dtype because the check above bounds them by n
         self.coords = np.empty((3, 2 * n), dtype=dtype)
-        self.coords[:, :n] = v - lo[:, None]
+        self.coords[:, :n] = v - np.array(lo)[:, None]
         self.coords[:, n:] = self.coords[:, :n]
         # windows[:, k] is coords[:, k : k + n], the partners of band n - k
         self.windows = sliding_window_view(self.coords, n, axis=1)

@@ -187,9 +187,9 @@ def _move_vertices(moves: str, line: Optional[int] = None) -> np.ndarray:
     return vertices
 
 
-def knot_from_moves(moves: str, line: Optional[int] = None) -> LatticeKnot:
+def knot_from_moves(moves: str) -> LatticeKnot:
     """Build a knot from a move string anchored at the origin."""
-    return LatticeKnot.from_true(_move_vertices(moves, line))
+    return LatticeKnot.from_true(_move_vertices(moves))
 
 
 def move_string(knot: LatticeKnot) -> str:

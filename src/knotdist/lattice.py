@@ -149,14 +149,12 @@ def _coordinate_array(values) -> np.ndarray:
     return a if a.dtype == object else a.astype(np.int64, copy=False)
 
 
-def _true_coords(vertices: TrueVertices) -> np.ndarray:
-    """(n, 3) array of true coordinates: int64 when every coordinate is
-    within +-_TRUE_LIMIT, Python ints in an object array otherwise."""
-    a = _coordinate_array(vertices)
-    # not abs(): np.abs(-2**63) is negative in int64
-    if a.dtype == np.int64 and a.size and (a.min() < -_TRUE_LIMIT or a.max() > _TRUE_LIMIT):
-        a = a.astype(object)
-    return a
+def _axis_extremes(a: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """One contiguous row per axis of the (n, 3) array a, with each axis's
+    least and greatest value as Python ints; reductions over the strided
+    columns of a cost more than the copy."""
+    rows = np.ascontiguousarray(a.T)
+    return rows, rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
 
 
 def validate(vertices: TrueVertices) -> ValidationResult:
@@ -177,7 +175,7 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     n/2 per axis, so only an input that is not closed, or a knot of about
     4.19 million edges or more, needs the Python-int key.
     """
-    a = _true_coords(vertices)
+    a = _coordinate_array(vertices)
     n = len(a)
     violations: list[Violation] = []
     if n < 4:
@@ -190,11 +188,10 @@ def validate(vertices: TrueVertices) -> ValidationResult:
         )
     if not n:
         return ValidationResult(False, tuple(violations))
-    rows = np.ascontiguousarray(a.T)
-    lo, hi = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    rows, lo, hi = _axis_extremes(a)
     ry, rz = hi[1] - lo[1] + 2, hi[2] - lo[2] + 2
     key_type = np.int64 if (hi[0] - lo[0] + 2) * ry * rz <= COORD_LIMIT else object
-    # int64 rows lie within +-_TRUE_LIMIT and each partial sum of an int64 key in [0, 2^63)
+    # x - lo lies in [0, s_x], so each partial sum of an int64 key lies in [0, 2^63)
     x, y, z = rows.astype(object) if key_type is object else rows
     key = (((x - lo[0]) * ry + (y - lo[1])) * rz + (z - lo[2])).astype(key_type, copy=False)
     step = np.abs(np.diff(key, append=key[:1]))
@@ -210,8 +207,9 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     for i, f in sorted(zip(order[repeat].tolist(), first.tolist())):
         message = f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}"
         violations.append(Violation("not_embedded", (f, i), message))
-    if a.dtype == object:
-        for i in np.nonzero((np.abs(a) > _TRUE_LIMIT).any(axis=1))[0].tolist():
+    if min(lo) < -_TRUE_LIMIT or max(hi) > _TRUE_LIMIT:
+        # by comparison, not abs(): np.abs(-2**63) is negative in int64
+        for i in np.flatnonzero(((a < -_TRUE_LIMIT) | (a > _TRUE_LIMIT)).any(axis=1)).tolist():
             violations.append(
                 Violation("out_of_range", (i,), f"vertex {i} exceeds the coordinate range")
             )
@@ -384,9 +382,9 @@ def transform(
     """
     perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
     shift = [2 * t for t in translate]
-    rows = np.ascontiguousarray(knot.coords.T)  # strided column reductions cost more
+    _, lo, hi = _axis_extremes(knot.coords)
     for k in range(3):
-        a, b = int(rows[perm[k]].min()), int(rows[perm[k]].max())
+        a, b = lo[perm[k]], hi[perm[k]]
         ends = (a, b, signs[k] * a + shift[k], signs[k] * b + shift[k], shift[k])
         if max(map(abs, ends)) > COORD_LIMIT:
             raise OverflowError("the transformed knot leaves the 64-bit coordinate range")

@@ -26,11 +26,14 @@ from knotdist import (
     gromov1_distortion,
     heatmap,
     lattice_isometries,
+    parse_knot,
     random_polygon,
     rectangle,
     scale,
+    serialize,
     torus_knot,
     transform,
+    validate,
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
@@ -554,6 +557,32 @@ class TestBuildReport:
 
 
 class TestSweepLayout:
+    def test_one_scan_of_the_extremes_per_operation(self, monkeypatch, trefoil):
+        # validate, transform and the sweep read each axis's extremes through
+        # one helper; a second scan or a second _Sweep would call it again
+        calls = []
+        axis_extremes = knotdist.lattice._axis_extremes
+
+        def counted(a):
+            calls.append(len(a))
+            return axis_extremes(a)
+
+        for module in (knotdist.lattice, knotdist.engine):
+            monkeypatch.setattr(module, "_axis_extremes", counted)
+        text = serialize(trefoil, "vertices")
+        runs = {
+            "parse_knot": lambda: parse_knot(text),
+            "validate": lambda: validate(trefoil.true_vertices()),
+            "transform": lambda: transform(trefoil, translate=(1, 0, 0)),
+            "vertex_distortion": lambda: vertex_distortion(trefoil),
+            "heatmap": lambda: heatmap(trefoil),
+            "build_report": lambda: build_report(trefoil, with_heatmap=True),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls == [trefoil.n], name
+
     def test_int32_bound(self, monkeypatch):
         # 3n < 2^31 keeps the int32 taxicab sums exact
         limit = knotdist.engine.MAX_SWEEP_EDGES

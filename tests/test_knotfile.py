@@ -123,6 +123,9 @@ class TestRoundTrip:
 
     def test_knot_from_moves(self):
         assert knot_from_moves("XYxy") == rectangle(1, 1)
+        with pytest.raises(KnotFileError, match="does not close") as raised:
+            knot_from_moves("XYx")
+        assert raised.value.line is None
 
     def test_save_and_load(self, tmp_path, trefoil):
         far = transform(trefoil, translate=(2**40, -3, 0))

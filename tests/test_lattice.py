@@ -120,6 +120,16 @@ class TestInt64Limits:
         assert ("out_of_range", (0,)) in [(v.code, v.where) for v in result.violations]
         assert result == reference_validate(vertices)
 
+    @pytest.mark.parametrize("corner", [2**62, 2**63 - 2, -(2**62), -(2**63)])
+    def test_int64_input_past_the_range_keeps_the_int64_key(self, corner, key_dtypes):
+        # x - lo_x lies in [0, s_x], so the int64 key holds values outside
+        # +-_TRUE_LIMIT; the range check compares them one side at a time
+        vertices = np.array([(corner + x, y, z) for x, y, z in UNIT_SQUARE], dtype=np.int64)
+        result = validate(vertices)
+        assert result == reference_validate(vertices)
+        assert result.codes() == {"out_of_range"}
+        assert key_dtypes == [np.dtype(np.int64)]
+
     def test_array_input(self):
         vertices = np.array(UNIT_SQUARE, dtype=np.int64)
         assert validate(vertices).ok
@@ -255,16 +265,16 @@ class TestCoords:
 
     def test_from_true_checks_once_and_copies_once(self, monkeypatch):
         checked = []
-        true_coords = knotdist.lattice._true_coords
+        axis_extremes = knotdist.lattice._axis_extremes
 
         def counted(vertices):
             checked.append(len(vertices))
-            return true_coords(vertices)
+            return axis_extremes(vertices)
 
         def refuse(self):
             raise AssertionError("from_true copied its doubled coordinates again")
 
-        monkeypatch.setattr(knotdist.lattice, "_true_coords", counted)
+        monkeypatch.setattr(knotdist.lattice, "_axis_extremes", counted)
         monkeypatch.setattr(LatticeKnot, "__post_init__", refuse)
         a = np.array(UNIT_SQUARE)
         knot = LatticeKnot.from_true(a)
