@@ -32,7 +32,7 @@ the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
 bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time, and picks each row's best band within a block by a float key
-that orders the band ratios exactly (see _Sweep._update_heatmap).
+that orders the band ratios exactly (see _Sweep._sweep_rows).
 Shifted coordinates lie in [0, n] and taxicab sums are at most 3n, so the
 kernel runs in int16 when 3n < 2^15, else int32: one kernel, its dtype
 picked once per knot.  Knots with 3n >= 2^31 are refused.
@@ -164,13 +164,14 @@ def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
 
 
 class _Sweep:
-    """One banded scan over the vertex pairs of a knot.
+    """The band kernel over the vertex pairs of a knot.
 
-    The coordinates are shifted by their minimum, so on a closed
-    unit-step polygon, as on any knot that passes the span check, every
-    value lies in [0, n] (doubled units) and taxicab sums are at most 3n.
-    The kernel holds them in int16 when 3n < 2^15, else int32; one
-    kernel.  A Python int mixed with such an array keeps the array's
+    It holds only the shifted coordinates; its drivers, _refine and
+    _sweep_rows, each set up the state they use.  The shift is by the
+    minimum, so on a closed unit-step polygon, as on any knot that passes
+    the span check, every value lies in [0, n] (doubled units) and taxicab
+    sums are at most 3n; the kernel holds them in int16 when 3n < 2^15,
+    else int32.  A Python int mixed with such an array keeps the array's
     dtype and would wrap silently, so each such expression notes its
     bound.  Squared Euclidean sums and the heatmap's cross-multiplied
     comparisons reach 3 n^2 and are taken in int64.  Each of the three
@@ -181,6 +182,10 @@ class _Sweep:
     def __init__(self, knot: LatticeKnot):
         self.knot = knot
         n = self.n = knot.n
+        if n < 4 or n % 2:
+            raise ValueError(
+                f"knot has {n} edges; a closed lattice polygon has an even length of at least 4"
+            )
         if n > MAX_SWEEP_EDGES:
             raise ValueError(
                 f"knot has {n} edges; the int32 band kernel takes at most {MAX_SWEEP_EDGES}"
@@ -199,13 +204,6 @@ class _Sweep:
         self.coords[:, n:] = self.coords[:, :n]
         # windows[:, k] is coords[:, k : k + n], the partners of band n - k
         self.windows = sliding_window_view(self.coords, n, axis=1)
-        # one band's buffers; the row sweep replaces them by a block's
-        self.diff = np.empty((3, 1, n), dtype=dtype)
-        self.dist = np.empty((1, n), dtype=dtype)
-        # the running maximum num/den, compared by cross-multiplication
-        self.num, self.den = 1, 1
-        self.index_pairs: set[tuple[int, int]] = set()
-        self.pairs = 0
 
     def _bands(self, d0: int, d1: int) -> np.ndarray:
         """Per-index taxicab distances of bands d0 .. d1 - 1.
@@ -251,9 +249,17 @@ class _Sweep:
     def _refine(self) -> None:
         """Evaluate every band whose bound reaches the running maximum.
 
-        The heap holds open intervals (a, b) of unevaluated bands, highest
-        bound first; band 0 is a virtual end with minimum 0.
+        It starts its own state: one band's buffers, the running maximum
+        num/den, its witness index pairs and the pairs examined.  The heap
+        holds open intervals (a, b) of unevaluated bands, highest bound
+        first; band 0 is a virtual end with minimum 0.
         """
+        n, dtype = self.n, self.coords.dtype
+        self.diff = np.empty((3, 1, n), dtype=dtype)
+        self.dist = np.empty((1, n), dtype=dtype)
+        self.num, self.den = 1, 1
+        self.index_pairs: set[tuple[int, int]] = set()
+        self.pairs = 0
         queue: list[tuple[float, int, int, int, int, int, int, int]] = []
 
         def push(a: int, ma: int, b: int, mb: int) -> None:
@@ -261,7 +267,7 @@ class _Sweep:
                 num, den, d = _interval_bound(a, ma, b, mb)
                 heapq.heappush(queue, (-num / den, a, ma, b, mb, num, den, d))
 
-        h = self.n // 2
+        h = n // 2
         push(0, 0, h, self._step(h))
         while queue:
             _, a, ma, b, mb, num, den, d = heapq.heappop(queue)
@@ -280,71 +286,62 @@ class _Sweep:
         """Evaluate every band into the per-row maxima only.
 
         A block of contiguous bands is taken per kernel call; the running
-        maximum and its witnesses are left to _refine.
+        maximum and its witnesses are left to _refine.  Row j meets band d
+        as index j (partner j - d, distance dist_d[j]) and as the partner
+        of j + d (distance dist_d[j + d]); the nearer one, c, gives the
+        row's larger band-d ratio 2d / c.  Each row's best band in the
+        block is picked by the least float key c * fl(1 / 2d).  The inverse
+        ratios c / 2d lie in (0, 1], as c <= 2d <= n, and two distinct ones
+        differ by at least 1/n^2, while the two roundings move each key by
+        at most 2^-52 (1 + 2^-53).  So for n^2 < 2^51, when two ratios
+        differ the larger has the smaller key, and equal keys mean equal
+        ratios.  Equal ratios may still get keys an ulp apart, which is
+        harmless: every band at the row's least key has the row's largest
+        ratio.  A block has more than one band only for n <= 2^14, and one
+        band needs no order.  The row maxima row_num / row_den are then
+        raised by exact int64 cross-multiplication.
         """
         n, h, dtype = self.n, self.n // 2, self.coords.dtype
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
-        # doubled like the coordinates, so the heatmap can read dist[i + d]
+        # doubled like the coordinates, so a row can read dist[j + d]
         self.dist = np.empty((width, 2 * n), dtype=dtype)
-        # the per-row maxima row_num / row_den, and the heatmap's block buffers
-        self.row_num = np.zeros(n, dtype=np.int64)
-        self.row_den = np.ones(n, dtype=np.int64)
-        self.cand = np.empty((width, n), dtype=dtype)
-        self.key = np.empty((width, n), dtype=np.float64)
+        row_num = np.zeros(n, dtype=np.int64)
+        row_den = np.ones(n, dtype=np.int64)
+        cand_buffer = np.empty((width, n), dtype=dtype)
+        key_buffer = np.empty((width, n), dtype=np.float64)
         # fl(1 / 2d) at index d - 1
-        self.inverse_twice_d = 0.5 / np.arange(1, h + 1)
-        self.band_offsets = np.arange(width, dtype=dtype)[:, None]
+        inverse_twice_d = 0.5 / np.arange(1, h + 1)
+        band_offsets = np.arange(width, dtype=dtype)[:, None]
+        item = self.dist.itemsize
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
+            w = d1 - d0
             self._bands(d0, d1)
-            self._update_heatmap(d0, d1)
-        g = np.gcd(self.row_num, self.row_den)
-        return Heatmap(self.knot, self.row_num // g, self.row_den // g)
-
-    def _update_heatmap(self, d0: int, d1: int) -> None:
-        """Fold the block of bands d0 .. d1 - 1 into the per-row maxima.
-
-        Row j meets band d as index j (partner j - d, distance dist_d[j])
-        and as the partner of j + d (distance dist_d[j + d]); the nearer
-        one, c, gives the row's larger band-d ratio 2d / c.  Each row's best
-        band in the block is picked by the least float key c * fl(1 / 2d).
-        The inverse ratios c / 2d lie in (0, 1], as c <= 2d <= n, and two
-        distinct ones differ by at least 1/n^2, while the two roundings move
-        each key by at most 2^-52 (1 + 2^-53).  So for n^2 < 2^51, when two
-        ratios differ the larger has the smaller key, and equal keys mean
-        equal ratios.  Equal ratios may still get keys an ulp apart, which is
-        harmless: every band at the row's least key has the row's largest
-        ratio.  A block has more than one band only for n <= 2^14, and one
-        band needs no order.  The row maxima are then raised by exact int64
-        cross-multiplication.
-        """
-        n, w = self.n, d1 - d0
-        block = self.dist[:w]
-        # forward[b, j] = block[b, j + d0 + b], at flat offset
-        # b * 2n + (d0 + b + j) of the buffer; the column d0 + b + j is at
-        # most d1 + n - 2 < 2n, as d1 <= n/2 + 1, so it stays in row b, where
-        # the columns from n on repeat the first d1 - 1
-        block[:, n : n + d1 - 1] = block[:, : d1 - 1]
-        item = block.itemsize
-        forward = as_strided(
-            self.dist.reshape(-1)[d0:], shape=(w, n), strides=((2 * n + 1) * item, item),
-            writeable=False,
-        )
-        cand = np.minimum(block[:, :n], forward, out=self.cand[:w])
-        key = np.multiply(cand, self.inverse_twice_d[d0 - 1 : d1 - 1, None], out=self.key[:w])
-        # the last band at each row's least key, and its distance, the
-        # largest among the bands at the least key: they share one ratio,
-        # so the larger d has the larger c; an argmax over axis 0 would
-        # copy the block transposed and cost more
-        hit = key == key.min(axis=0)
-        # in the kernel's dtype: hit * band_offsets < h, hit * cand <= 3n,
-        # and best + d0 <= h, so 2 * (best + d0) <= n
-        best = np.multiply(hit, self.band_offsets[:w]).max(axis=0)
-        num, den = 2 * (best + d0), np.multiply(hit, cand).max(axis=0)
-        better = num * self.row_den > self.row_num * den
-        np.copyto(self.row_num, num, where=better)
-        np.copyto(self.row_den, den, where=better)
+            block = self.dist[:w]
+            # forward[b, j] = block[b, j + d0 + b], at flat offset
+            # b * 2n + (d0 + b + j) of the buffer; the column d0 + b + j is at
+            # most d1 + n - 2 < 2n, as d1 <= n/2 + 1, so it stays in row b,
+            # where the columns from n on repeat the first d1 - 1
+            block[:, n : n + d1 - 1] = block[:, : d1 - 1]
+            forward = as_strided(self.dist.reshape(-1)[d0:], shape=(w, n),
+                                 strides=((2 * n + 1) * item, item), writeable=False)
+            cand = np.minimum(block[:, :n], forward, out=cand_buffer[:w])
+            key = np.multiply(cand, inverse_twice_d[d0 - 1 : d1 - 1, None], out=key_buffer[:w])
+            # the last band at each row's least key, and its distance, the
+            # largest among the bands at the least key: they share one ratio,
+            # so the larger d has the larger c; an argmax over axis 0 would
+            # copy the block transposed and cost more
+            hit = key == key.min(axis=0)
+            # in the kernel's dtype: hit * band_offsets < h, hit * cand <= 3n,
+            # and best + d0 <= h, so 2 * (best + d0) <= n
+            best = np.multiply(hit, band_offsets[:w]).max(axis=0)
+            num, den = 2 * (best + d0), np.multiply(hit, cand).max(axis=0)
+            better = num * row_den > row_num * den
+            np.copyto(row_num, num, where=better)
+            np.copyto(row_den, den, where=better)
+        g = np.gcd(row_num, row_den)
+        return Heatmap(self.knot, row_num // g, row_den // g)
 
     def report(self) -> DistortionReport:
         """The maximum and its witnesses, once the bands are evaluated."""

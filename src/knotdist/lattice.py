@@ -335,7 +335,7 @@ def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
     """
     if m < 1:
         raise ValueError(f"scale factor must be a positive integer, got {m}")
-    if m == 1:
+    if m == 1 or not knot.n:
         return knot
     c = knot.coords
     if max(-int(c.min()), int(c.max())) * m > COORD_LIMIT:
@@ -380,6 +380,8 @@ def transform(
     result or the doubled translation leaves the 64-bit range, and
     ValueError when the translation is not integral.
     """
+    if not knot.n:
+        return knot
     perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
     shift = [2 * t for t in translate]
     _, lo, hi = _axis_extremes(knot.coords)

@@ -596,6 +596,37 @@ class TestSweepLayout:
         monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n)
         assert vertex_distortion(knot).delta == Fraction(5, 3)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_lengths_that_cannot_close_are_refused(self, n):
+        # unvalidated unit-step paths, too short or of odd length to close
+        path = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (0, 2, 2)][:n]
+        knot = LatticeKnot(np.array(path, dtype=np.int64).reshape(-1, 3))
+        runs = (vertex_distortion, heatmap, gromov1_distortion, vertex_distortion_with_heatmap,
+                euclidean_vertex_lower_bound, build_report,
+                lambda k: build_report(k, with_heatmap=True))
+        message = f"knot has {n} edges; a closed lattice polygon has an even length of at least 4"
+        for run in runs:
+            with pytest.raises(ValueError, match=message):
+                run(knot)
+
+    def test_drivers_set_up_their_own_state(self, monkeypatch, trefoil):
+        # _Sweep holds the band kernel; the branch and bound's running
+        # maximum lives only after _refine, the row sweep's buffers in _sweep_rows
+        sweeps = []
+        real = knotdist.engine._Sweep
+
+        def recording(*args, **kwargs):
+            sweeps.append(real(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(knotdist.engine, "_Sweep", recording)
+        heatmap(trefoil)
+        assert not {"num", "den", "index_pairs", "pairs"} & set(vars(sweeps[-1]))
+        vertex_distortion_with_heatmap(trefoil)
+        rows = {"row_num", "row_den", "cand", "key", "inverse_twice_d", "band_offsets"}
+        assert not rows & set(vars(sweeps[-1]))
+        assert len(sweeps) == 2
+
     def test_pruned_run_allocates_one_band(self):
         knot = rectangle(20, 20)
         sweep = knotdist.engine._Sweep(knot)

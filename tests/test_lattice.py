@@ -423,6 +423,14 @@ class TestKnotContract:
                 for t in range(3)
             )
 
+    def test_empty_knot_passes_through_transform_and_scale(self):
+        empty = LatticeKnot(np.empty((0, 3), dtype=np.int64))
+        flip = next(iso for iso in lattice_isometries() if iso.signs == (-1, 1, 1))
+        assert transform(empty) is empty and transform(empty, flip, (1, 2, 3)) is empty
+        assert scale(empty, 1) is empty and scale(empty, 3) is empty
+        with pytest.raises(ValueError, match="scale factor"):
+            scale(empty, 0)
+
     def test_report_path_builds_no_points(self):
         knot = parse_knot(serialize(torus_knot(2, 3)))
         build_report(knot)
