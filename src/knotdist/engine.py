@@ -31,8 +31,8 @@ Only the heatmap's row sweep visits every band, and it computes only
 the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
 bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
-its time, and picks each row's best band within a block by a float key
-that orders the band ratios exactly (see _Sweep._sweep_rows).
+its time; one selection pass per block keeps each row's best ratio by a
+float key, float32 when n^2 < 2^22, else float64 (see _Sweep._sweep_rows).
 Shifted coordinates lie in [0, n] and taxicab sums are at most 3n, so the
 kernel runs in int16 when 3n < 2^15, else int32: one kernel, its dtype
 picked once per knot.  Knots with 3n >= 2^31 are refused.
@@ -67,6 +67,8 @@ MAX_SWEEP_EDGES = (2**31 - 1) // 3
 # Distances one row-sweep kernel call evaluates: a block of
 # max(1, BLOCK_ELEMENTS // n) contiguous bands.
 BLOCK_ELEMENTS = 2**15
+# Most edges the row sweep takes: n^2 < 2^51 (see _Sweep._sweep_rows).
+MAX_HEATMAP_EDGES = math.isqrt(2**51 - 1)
 
 
 @dataclass(frozen=True)
@@ -173,10 +175,10 @@ class _Sweep:
     sums are at most 3n; the kernel holds them in int16 when 3n < 2^15,
     else int32.  A Python int mixed with such an array keeps the array's
     dtype and would wrap silently, so each such expression notes its
-    bound.  Squared Euclidean sums and the heatmap's cross-multiplied
-    comparisons reach 3 n^2 and are taken in int64.  Each of the three
-    coordinate rows is stored twice, so the band partner i - d (mod n)
-    of index i is the window [n - d, 2n - d) of the doubled rows.
+    bound.  Squared Euclidean sums reach 3 n^2 and are taken in int64.
+    Each of the three coordinate rows is stored twice, so the band partner
+    i - d (mod n) of index i is the window [n - d, 2n - d) of the doubled
+    rows.
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -289,30 +291,31 @@ class _Sweep:
         maximum and its witnesses are left to _refine.  Row j meets band d
         as index j (partner j - d, distance dist_d[j]) and as the partner
         of j + d (distance dist_d[j + d]); the nearer one, c, gives the
-        row's larger band-d ratio 2d / c.  Each row's best band in the
-        block is picked by the least float key c * fl(1 / 2d).  The inverse
-        ratios c / 2d lie in (0, 1], as c <= 2d <= n, and two distinct ones
-        differ by at least 1/n^2, while the two roundings move each key by
-        at most 2^-52 (1 + 2^-53).  So for n^2 < 2^51, when two ratios
-        differ the larger has the smaller key, and equal keys mean equal
-        ratios.  Equal ratios may still get keys an ulp apart, which is
-        harmless: every band at the row's least key has the row's largest
-        ratio.  A block has more than one band only for n <= 2^14, and one
-        band needs no order.  The row maxima row_num / row_den are then
-        raised by exact int64 cross-multiplication.
+        row's larger band-d ratio 2d / c.  A row keeps its least key
+        c * fl(1 / 2d) and that c.  On a unit-step knot c <= 2d <= n, so
+        distinct inverse ratios c / 2d in (0, 1] differ by at least 1/n^2,
+        while two roundings move a key by at most 2u (1 + u/2): u = 2^-24 in
+        float32, taken when n^2 < 2^22, else 2^-53 in float64, while
+        n^2 < 2^51.  So a larger ratio has a smaller key, and equal keys mean
+        equal ratios (equal ratios may get keys an ulp apart; a row keeps
+        either).  One pass per block marks the bands at each row's least
+        key and keeps the largest c among them, in the kernel's dtype.  At
+        the end 2d = rint(c / key) in float64, off by at most n 2^-22 < 1/2.
         """
         n, h, dtype = self.n, self.n // 2, self.coords.dtype
+        if n > MAX_HEATMAP_EDGES:
+            raise ValueError(f"knot has {n} edges; the heatmap takes at most {MAX_HEATMAP_EDGES}")
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
         # doubled like the coordinates, so a row can read dist[j + d]
         self.dist = np.empty((width, 2 * n), dtype=dtype)
-        row_num = np.zeros(n, dtype=np.int64)
-        row_den = np.ones(n, dtype=np.int64)
         cand_buffer = np.empty((width, n), dtype=dtype)
-        key_buffer = np.empty((width, n), dtype=np.float64)
-        # fl(1 / 2d) at index d - 1
-        inverse_twice_d = 0.5 / np.arange(1, h + 1)
-        band_offsets = np.arange(width, dtype=dtype)[:, None]
+        key_buffer = np.empty((width, n), dtype=np.float32 if n * n < 2**22 else np.float64)
+        hit_buffer = np.empty((width, n), dtype=bool)
+        # fl(1 / 2d) at index d - 1, one rounding in the key's dtype
+        inverse_twice_d = 0.5 / np.arange(1, h + 1, dtype=key_buffer.dtype)[:, None]
+        row_key = np.full(n, np.inf, dtype=key_buffer.dtype)
+        row_den = np.ones(n, dtype=dtype)
         item = self.dist.itemsize
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
@@ -327,19 +330,16 @@ class _Sweep:
             forward = as_strided(self.dist.reshape(-1)[d0:], shape=(w, n),
                                  strides=((2 * n + 1) * item, item), writeable=False)
             cand = np.minimum(block[:, :n], forward, out=cand_buffer[:w])
-            key = np.multiply(cand, inverse_twice_d[d0 - 1 : d1 - 1, None], out=key_buffer[:w])
-            # the last band at each row's least key, and its distance, the
-            # largest among the bands at the least key: they share one ratio,
-            # so the larger d has the larger c; an argmax over axis 0 would
-            # copy the block transposed and cost more
-            hit = key == key.min(axis=0)
-            # in the kernel's dtype: hit * band_offsets < h, hit * cand <= 3n,
-            # and best + d0 <= h, so 2 * (best + d0) <= n
-            best = np.multiply(hit, band_offsets[:w]).max(axis=0)
-            num, den = 2 * (best + d0), np.multiply(hit, cand).max(axis=0)
-            better = num * row_den > row_num * den
-            np.copyto(row_num, num, where=better)
+            key = np.multiply(cand, inverse_twice_d[d0 - 1 : d1 - 1], out=key_buffer[:w])
+            least = key.min(axis=0)
+            # an argmin over axis 0 would copy the block transposed and cost
+            # more; in place and in the kernel's dtype, as hit * cand <= 3n
+            hit = np.equal(key, least, out=hit_buffer[:w])
+            den = np.multiply(hit, cand, out=cand).max(axis=0)
+            better = least < row_key
+            np.copyto(row_key, least, where=better)
             np.copyto(row_den, den, where=better)
+        row_num = np.rint(row_den / row_key.astype(np.float64)).astype(np.int64)
         g = np.gcd(row_num, row_den)
         return Heatmap(self.knot, row_num // g, row_den // g)
 

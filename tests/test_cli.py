@@ -274,6 +274,18 @@ def test_knot_past_the_int32_kernel_exits_one(capsys, monkeypatch, rect14_file):
     assert run(capsys, ["compute", str(rect14_file)])[0] == 0
 
 
+def test_heatmap_past_the_float64_key_exits_one(capsys, monkeypatch, rect14_file):
+    # the bound is lowered, so no test builds a knot of 4.7 * 10^7 edges
+    monkeypatch.setattr(engine, "MAX_HEATMAP_EDGES", 9)
+    for argv in (["compute", "--with-heatmap", str(rect14_file)],
+                 ["heatmap", str(rect14_file), "--csv", "-"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: knot has 10 edges; the heatmap takes at most 9\n"
+    for argv in (["compute", str(rect14_file)], ["certify", str(rect14_file)]):
+        assert run(capsys, argv)[0] == 0
+
+
 def test_unreachable_random_length_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", 10)
     code, out, err = run(capsys, ["generate", "--kind", "random", "--length", "12"])

@@ -596,6 +596,20 @@ class TestSweepLayout:
         monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n)
         assert vertex_distortion(knot).delta == Fraction(5, 3)
 
+    def test_float64_key_bound(self, monkeypatch):
+        # the row sweep's float64 keys order distinct ratios exactly while n^2 < 2^51
+        limit = knotdist.engine.MAX_HEATMAP_EDGES
+        assert limit**2 < 2**51 <= (limit + 1) ** 2
+        knot = rectangle(3, 3)
+        monkeypatch.setattr(knotdist.engine, "MAX_HEATMAP_EDGES", knot.n - 1)
+        for run in (heatmap, vertex_distortion_with_heatmap,
+                    lambda k: build_report(k, with_heatmap=True)):
+            with pytest.raises(ValueError, match="knot has 12 edges; the heatmap takes at most 11"):
+                run(knot)
+        assert vertex_distortion(knot).delta == Fraction(5, 3)
+        monkeypatch.setattr(knotdist.engine, "MAX_HEATMAP_EDGES", knot.n)
+        assert [row.value for row in heatmap(knot)] == reference_row_maxima(knot)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_lengths_that_cannot_close_are_refused(self, n):
         # unvalidated unit-step paths, too short or of odd length to close
@@ -623,7 +637,8 @@ class TestSweepLayout:
         heatmap(trefoil)
         assert not {"num", "den", "index_pairs", "pairs"} & set(vars(sweeps[-1]))
         vertex_distortion_with_heatmap(trefoil)
-        rows = {"row_num", "row_den", "cand", "key", "inverse_twice_d", "band_offsets"}
+        rows = {"row_num", "row_den", "row_key", "cand", "cand_buffer", "key", "key_buffer",
+                "hit", "hit_buffer", "inverse_twice_d", "band_offsets"}
         assert not rows & set(vars(sweeps[-1]))
         assert len(sweeps) == 2
 
@@ -867,6 +882,56 @@ def inverse_ratio_pairs(draw):
         d2 = min(2**13, max(1, d1 + draw(st.integers(-3, 3))))
     c2 = min(2 * d2, max(1, c1 * d2 // d1 + draw(st.integers(-1, 1))))
     return c1, d1, c2, d2
+
+
+def test_float32_keys_order_every_ratio_at_n_2046():
+    # every band d <= 1,023 of a 2,046-edge knot at every distance c <= 2d,
+    # keyed as the row sweep keys them: int16 c times the float32 fl(1 / 2d)
+    n = 2046
+    twice_d = np.arange(2, n + 1, 2)
+    d = np.repeat(twice_d // 2, twice_d)
+    c = (np.arange(len(d)) - np.repeat(np.cumsum(twice_d) - twice_d, twice_d) + 1)
+    c = c.astype(np.int16)
+    assert len(c) == 1_047_552 and (c >= 1).all() and (c <= 2 * d).all()
+    key = c * (0.5 / np.arange(1, n // 2 + 1, dtype=np.float32))[d - 1]
+    assert key.dtype == np.float32
+    # along increasing keys the exact ratios c / 2d never fall, and equal
+    # keys hold equal ratios: so distinct ratios get strictly ordered keys
+    order = np.argsort(key, kind="stable")
+    k, cs, ds = key[order], c[order].astype(np.int64), d[order]
+    lhs, rhs = cs[:-1] * ds[1:], cs[1:] * ds[:-1]
+    assert (lhs <= rhs).all()
+    tie = k[:-1] == k[1:]
+    assert (lhs[tie] == rhs[tie]).all()
+    # the row sweep's recovery of 2d from c and the key
+    assert (np.rint(c / key.astype(np.float64)) == 2 * d).all()
+
+
+@pytest.mark.parametrize("n", [2046, 2048])
+def test_heatmap_on_both_sides_of_the_float32_key(monkeypatch, n):
+    # float32 keys while n^2 < 2^22, float64 keys from n = 2,048 on
+    for knot in (random_polygon(n, 0), rectangle(511, n // 2 - 511)):
+        assert knot.n == n
+        brute = reference_row_maxima(knot)
+        assert reference_heatmap_rows(knot) == brute, knot
+        for width in block_widths(knot):
+            heat, _ = sweep_blocks(monkeypatch, knot, width, heatmap)
+            assert [r.value for r in heat] == brute, (knot, width)
+
+
+def test_float64_keys_where_float32_keys_tie_distinct_ratios():
+    # n = 3,808 is the least length at which float32 keys tie two distinct
+    # inverse ratios: 3614 / (2 * 1893) and 3635 / (2 * 1904), in two blocks.
+    # An unvalidated knot puts vertices 1893 and 1904 at those taxicab
+    # distances from vertex 0 and every other vertex at least 3n/2 away
+    n = 3808
+    far = [(n, y, z) for y in range(n // 2, n + 1) for z in (0, 1)]
+    coords = np.array([(0, 0, 0)] + far[: n - 1], dtype=np.int64)
+    coords[1893], coords[1904] = (3614, 0, 0), (0, 3635, 0)
+    knot = LatticeKnot(coords)
+    rows = [row.value for row in heatmap(knot)]
+    assert rows[0] == Fraction(2 * 1904, 3635) > Fraction(2 * 1893, 3614)
+    assert rows == reference_heatmap_rows(knot)
 
 
 @settings(max_examples=2000)

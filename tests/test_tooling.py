@@ -184,6 +184,23 @@ def test_heatmap_benchmark_runs_the_int16_kernel(monkeypatch):
         assert knotdist.engine._Sweep(knot).coords.dtype == np.int16, base.name
 
 
+def test_heatmap_benchmark_runs_the_float32_key(monkeypatch):
+    # the row sweep keys its rows in float32 only while n^2 < 2^22, that is
+    # n <= 2,046; a larger base would time the float64 key instead
+    corpus = load_perfbench(monkeypatch, "corpus")
+    workload = corpus.WORKLOADS["heatmap_report"]
+    # the dtype of each array np.full makes: the row sweep's row_key alone
+    dtypes, full = [], np.full
+    monkeypatch.setattr(np, "full", lambda *args, **kwargs: dtypes.append(
+        np.dtype(kwargs.get("dtype"))) or full(*args, **kwargs))
+    for base in workload.full + workload.smoke:
+        knot = knotdist.LatticeKnot.from_true(corpus.generate(base, generators))
+        assert knot.n**2 < 2**22, base.name
+        dtypes.clear()
+        knotdist.heatmap(knot)
+        assert dtypes == [np.dtype(np.float32)], base.name
+
+
 def test_benchmark_entry_points_exist(monkeypatch):
     # the benchmark drives the CLI and wraps library functions by name, so
     # removing any of them would break it without failing another test
