@@ -33,9 +33,9 @@ bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time; one selection pass per block keeps each row's best ratio by a
 float key, float32 when n^2 < 2^22, else float64 (see _Sweep._sweep_rows).
-Shifted coordinates lie in [0, n] and taxicab sums are at most 3n, so the
-kernel runs in int16 when 3n < 2^15, else int32: one kernel, its dtype
-picked once per knot.  Knots with 3n >= 2^31 are refused.
+A LatticeKnot is valid by construction, so shifted coordinates lie in
+[0, n] and taxicab sums are at most 3n: the kernel runs in int16 when
+3n < 2^15, else int32, picked once per knot.  3n >= 2^31 is refused.
 
 The curve-wide maximum over vertices and midpoints extends a finished
 vertex sweep: by the midpoint pair structure only antipodal midpoint
@@ -170,37 +170,28 @@ class _Sweep:
 
     It holds only the shifted coordinates; its drivers, _refine and
     _sweep_rows, each set up the state they use.  The shift is by the
-    minimum, so on a closed unit-step polygon, as on any knot that passes
-    the span check, every value lies in [0, n] (doubled units) and taxicab
-    sums are at most 3n; the kernel holds them in int16 when 3n < 2^15,
-    else int32.  A Python int mixed with such an array keeps the array's
-    dtype and would wrap silently, so each such expression notes its
-    bound.  Squared Euclidean sums reach 3 n^2 and are taken in int64.
-    Each of the three coordinate rows is stored twice, so the band partner
-    i - d (mod n) of index i is the window [n - d, 2n - d) of the doubled
-    rows.
+    minimum; a LatticeKnot, a closed unit-step polygon by construction,
+    spans at most n per axis (doubled units), so every value lies in
+    [0, n] and taxicab sums are at most 3n; the kernel holds them in int16
+    when 3n < 2^15, else int32.  A Python int mixed with such an array
+    keeps the array's dtype and would wrap silently, so each such
+    expression notes its bound.  Squared Euclidean sums reach 3 n^2 and
+    are taken in int64.  Each of the three coordinate rows is stored
+    twice, so the band partner i - d (mod n) of index i is the window
+    [n - d, 2n - d) of the doubled rows.
     """
 
     def __init__(self, knot: LatticeKnot):
         self.knot = knot
         n = self.n = knot.n
-        if n < 4 or n % 2:
-            raise ValueError(
-                f"knot has {n} edges; a closed lattice polygon has an even length of at least 4"
-            )
         if n > MAX_SWEEP_EDGES:
             raise ValueError(
                 f"knot has {n} edges; the int32 band kernel takes at most {MAX_SWEEP_EDGES}"
             )
-        v, lo, hi = _axis_extremes(knot.coords)
-        # Python ints: an unvalidated knot may span more than int64
-        if max(h - l for h, l in zip(hi, lo)) > n:
-            raise ValueError(
-                "knot coordinates span more than its length; not a closed unit-step polygon"
-            )
+        v, lo, _ = _axis_extremes(knot.coords)
         dtype = np.int16 if 3 * n < 2**15 else np.int32
         # C order, so the kernel reads each coordinate row contiguously; the
-        # int64 values fit the dtype because the check above bounds them by n
+        # int64 values fit the dtype because a knot spans at most n per axis
         self.coords = np.empty((3, 2 * n), dtype=dtype)
         self.coords[:, :n] = v - np.array(lo)[:, None]
         self.coords[:, n:] = self.coords[:, :n]

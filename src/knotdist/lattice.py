@@ -230,20 +230,20 @@ class LatticeKnot:
     doubled vertices in cyclic order; the points derived from it
     (`vertices`, `edges`, the lookup tables) are built and cached on first
     use.  Instances are immutable and hashable, and equal when their
-    arrays are.  LatticeKnot(x) copies a sequence of LatticePoints or an
-    (n, 3) array of doubled coordinates, raising OverflowError outside
-    int64 and ValueError on non-integers, and checks nothing else: knots
-    come from :meth:`from_true`, the generators or the file parser, which
-    validate, or from :func:`scale` and :func:`transform` applied to a
-    valid knot.
+    arrays are.  Every instance is a valid lattice knot: LatticeKnot(x),
+    for a sequence of LatticePoints or an (n, 3) array of doubled
+    coordinates, is from_true(x // 2), validated once and copied, and
+    raises OverflowError outside int64 and ValueError on non-integers
+    and on an odd coordinate.
     """
 
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.array(_coordinate_array(self.coords), dtype=np.int64)
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+        coords = np.asarray(_coordinate_array(self.coords), dtype=np.int64)
+        if (coords & 1).any():
+            raise ValueError("doubled vertex coordinates must be even")
+        object.__setattr__(self, "coords", LatticeKnot.from_true(coords // 2).coords)
 
     @classmethod
     def from_true(cls, vertices: Union[Iterable[TrueVertex], np.ndarray]) -> "LatticeKnot":
@@ -262,11 +262,7 @@ class LatticeKnot:
             raise InvalidKnotError(result)
         # a valid knot's coordinates are int64 within _TRUE_LIMIT: doubling
         # them makes the one copy, which no caller holds
-        coords = a * 2
-        coords.flags.writeable = False
-        knot = object.__new__(cls)
-        object.__setattr__(knot, "coords", coords)
-        return knot
+        return _valid_knot(a * 2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeKnot):
@@ -316,9 +312,16 @@ class LatticeKnot:
         return list(map(tuple, (self.coords // 2).tolist()))
 
     def __repr__(self) -> str:
-        if not self.n:
-            return "LatticeKnot(n=0)"
         return f"LatticeKnot(n={self.n}, start={LatticePoint(*self.coords[0].tolist())!r})"
+
+
+def _valid_knot(coords: np.ndarray) -> LatticeKnot:
+    """The knot of coords, a fresh (n, 3) int64 array of a valid knot's
+    doubled coordinates, neither checked nor copied."""
+    coords.flags.writeable = False
+    knot = object.__new__(LatticeKnot)
+    object.__setattr__(knot, "coords", coords)
+    return knot
 
 
 def midpoints(knot: LatticeKnot) -> tuple[LatticePoint, ...]:
@@ -335,7 +338,7 @@ def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
     """
     if m < 1:
         raise ValueError(f"scale factor must be a positive integer, got {m}")
-    if m == 1 or not knot.n:
+    if m == 1:
         return knot
     c = knot.coords
     if max(-int(c.min()), int(c.max())) * m > COORD_LIMIT:
@@ -346,7 +349,7 @@ def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
     # sum lie within m times the largest coordinate, so none can wrap
     t = np.arange(m)[:, None]
     ends = np.roll(c, -1, axis=0)
-    return LatticeKnot((c[:, None] * (m - t) + ends[:, None] * t).reshape(-1, 3))
+    return _valid_knot((c[:, None] * (m - t) + ends[:, None] * t).reshape(-1, 3))
 
 
 class Isometry(NamedTuple):
@@ -376,18 +379,22 @@ def transform(
 ) -> LatticeKnot:
     """Apply a lattice isometry and an integer translation to a knot.
 
-    Raises OverflowError, before any arithmetic, when a coordinate of the
-    result or the doubled translation leaves the 64-bit range, and
-    ValueError when the translation is not integral.
+    Raises OverflowError when a coordinate of the result or the doubled
+    translation leaves the 64-bit range, and ValueError when the
+    translation is not integral or iso is not a signed axis permutation.
     """
-    if not knot.n:
-        return knot
     perm, signs = iso if iso is not None else ((0, 1, 2), (1, 1, 1))
-    shift = [2 * t for t in translate]
-    _, lo, hi = _axis_extremes(knot.coords)
-    for k in range(3):
-        a, b = lo[perm[k]], hi[perm[k]]
-        ends = (a, b, signs[k] * a + shift[k], signs[k] * b + shift[k], shift[k])
-        if max(map(abs, ends)) > COORD_LIMIT:
+    if sorted(perm) != [0, 1, 2] or not {*signs} <= {1, -1}:
+        raise ValueError(f"not a lattice isometry: {perm}, {signs}")
+    shift = [2 * t for t in _coordinate_array([translate])[0].tolist()]
+    rows, lo, hi = _axis_extremes(knot.coords)
+    out = np.empty_like(knot.coords)
+    # column k of the image, t + row p or t - row p, is written once
+    for k, (p, sign, t) in enumerate(zip(perm, signs, shift)):
+        if max(abs(t), abs(t + sign * lo[p]), abs(t + sign * hi[p])) > COORD_LIMIT:
             raise OverflowError("the transformed knot leaves the 64-bit coordinate range")
-    return LatticeKnot(knot.coords[:, perm] * signs + shift)
+        if sign == 1:
+            np.add(rows[p], t, out=out[:, k])
+        else:
+            np.subtract(t, rows[p], out=out[:, k])
+    return _valid_knot(out)

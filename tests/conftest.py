@@ -263,18 +263,23 @@ def reference_edge_of_midpoint(knot):
 def reference_row_maxima(knot):
     """Brute-force heatmap: each vertex's maximum arc/taxicab ratio.
 
-    All pairs at once; each row's float argmax is then checked exactly,
-    by cross-multiplication against every other pair of the row.
+    All pairs at once, the taxicab distances summed one axis at a time
+    into one (n, n) array; each row's float argmax is then checked
+    exactly, by cross-multiplication against every other pair of the row.
     """
     n = knot.n
-    true = knot.coords // 2
-    idx = np.arange(n)
-    arc = np.abs(idx[:, None] - idx[None, :])
-    arc = np.minimum(arc, n - arc)
-    tax = np.abs(true[:, None, :] - true[None, :, :]).sum(axis=2)
+    # shifted by the minimum, a knot's true coordinates lie in [0, n/2]
+    # and its taxicab distances in [0, 3n/2]: int32 for n < 2^30
+    tax = np.zeros((n, n), dtype=np.int32)
+    diff = np.empty((n, n), dtype=np.int32)
+    for column in ((knot.coords - knot.coords.min(axis=0)) // 2).T:
+        np.subtract(column[:, None], column[None, :], out=diff)
+        tax += np.abs(diff, out=diff)
     np.fill_diagonal(tax, 1)  # arc 0: the diagonal never wins
     out = []
-    for a, t in zip(arc, tax):
+    for i, t in enumerate(tax):
+        a = np.abs(np.arange(n) - i)
+        a = np.minimum(a, n - a)
         j = int(np.argmax(a / t))
         assert not (a * t[j] > a[j] * t).any()
         out.append(Fraction(int(a[j]), int(t[j])))

@@ -18,6 +18,7 @@ import knotdist.engine
 import knotdist.lattice
 from knotdist import (
     DistortionReport,
+    InvalidKnotError,
     LatticeKnot,
     LatticePoint,
     brute_force_vm_distortion,
@@ -37,6 +38,7 @@ from knotdist import (
     vertex_distortion,
     vertex_distortion_with_heatmap,
 )
+from knotdist.lattice import _valid_knot
 from knotdist.report import (
     build_gromov1_report, build_report, format_decimal, heatmap_csv, heatmap_docs, render_json,
 )
@@ -166,15 +168,16 @@ class TestVertexDistortion:
             assert back_pairs(g_got.witnesses) == g_want.witnesses
 
     def test_unvalidated_spread_rejected(self):
-        # the band kernel relies on coordinates spanning at most n; the
-        # last knot's x span, 2^64 - 2, wraps to -2 if taken in int64
-        for pts in ([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 6, 0)],
-                    [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, -2**62, 0)],
-                    [(-2**63, 0, 0), (2**63 - 2, 0, 0), (2**63 - 2, 2, 0), (-2**63, 2, 0)]):
-            knot = LatticeKnot(tuple(LatticePoint(*p) for p in pts))
-            for run in (vertex_distortion, heatmap):
-                with pytest.raises(ValueError, match="span"):
-                    run(knot)
+        # the band kernel relies on coordinates spanning at most n, which
+        # the constructor ensures; the last knot's x span, 2^64 - 2, wraps
+        # to -2 if taken in int64
+        for pts, codes in (([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 6, 0)], {"not_closed"}),
+                           ([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, -2**62, 0)], {"not_closed"}),
+                           ([(-2**63, 0, 0), (2**63 - 2, 0, 0), (2**63 - 2, 2, 0), (-2**63, 2, 0)],
+                            {"not_closed", "out_of_range"})):
+            with pytest.raises(InvalidKnotError) as refused:
+                LatticeKnot(tuple(LatticePoint(*p) for p in pts))
+            assert refused.value.result.codes() == codes
 
 
 def bands_evaluated(knot, rep):
@@ -612,16 +615,12 @@ class TestSweepLayout:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_lengths_that_cannot_close_are_refused(self, n):
-        # unvalidated unit-step paths, too short or of odd length to close
+        # unit-step paths too short or of odd length to close: no knot, so
+        # no engine entry point ever sees such a length
         path = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (0, 2, 2)][:n]
-        knot = LatticeKnot(np.array(path, dtype=np.int64).reshape(-1, 3))
-        runs = (vertex_distortion, heatmap, gromov1_distortion, vertex_distortion_with_heatmap,
-                euclidean_vertex_lower_bound, build_report,
-                lambda k: build_report(k, with_heatmap=True))
-        message = f"knot has {n} edges; a closed lattice polygon has an even length of at least 4"
-        for run in runs:
-            with pytest.raises(ValueError, match=message):
-                run(knot)
+        with pytest.raises(InvalidKnotError) as refused:
+            LatticeKnot(np.array(path, dtype=np.int64).reshape(-1, 3))
+        assert refused.value.result.codes() & {"too_short", "odd_length"}
 
     def test_drivers_set_up_their_own_state(self, monkeypatch, trefoil):
         # _Sweep holds the band kernel; the branch and bound's running
@@ -638,7 +637,7 @@ class TestSweepLayout:
         assert not {"num", "den", "index_pairs", "pairs"} & set(vars(sweeps[-1]))
         vertex_distortion_with_heatmap(trefoil)
         rows = {"row_num", "row_den", "row_key", "cand", "cand_buffer", "key", "key_buffer",
-                "hit", "hit_buffer", "inverse_twice_d", "band_offsets"}
+                "hit", "hit_buffer", "inverse_twice_d"}
         assert not rows & set(vars(sweeps[-1]))
         assert len(sweeps) == 2
 
@@ -672,12 +671,12 @@ class TestSweepLayout:
 
     @pytest.mark.parametrize("n, dtype", [(10_922, np.int16), (10_924, np.int32)])
     def test_taxicab_sums_of_3n_at_the_int16_bound(self, n, dtype):
-        # unvalidated: distinct points on the main diagonal, each axis
-        # spanning exactly n, so vertices 0 and n/2 are 3n apart; an int16
-        # kernel at n = 10,924 would wrap that 32,772
+        # not a knot, so built unchecked: distinct points on the main
+        # diagonal, each axis spanning exactly n, so vertices 0 and n/2 are
+        # 3n apart; an int16 kernel at n = 10,924 would wrap that 32,772
         i = np.arange(n)
         c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
-        knot = LatticeKnot(np.stack([c, c, c], axis=1))
+        knot = _valid_knot(np.stack([c, c, c], axis=1))
         assert np.abs(knot.coords[0] - knot.coords[n // 2]).sum() == 3 * n
         assert knotdist.engine._Sweep(knot).coords.dtype == dtype
         assert [row.value for row in heatmap(knot)] == reference_heatmap_rows(knot)
@@ -922,13 +921,14 @@ def test_heatmap_on_both_sides_of_the_float32_key(monkeypatch, n):
 def test_float64_keys_where_float32_keys_tie_distinct_ratios():
     # n = 3,808 is the least length at which float32 keys tie two distinct
     # inverse ratios: 3614 / (2 * 1893) and 3635 / (2 * 1904), in two blocks.
-    # An unvalidated knot puts vertices 1893 and 1904 at those taxicab
-    # distances from vertex 0 and every other vertex at least 3n/2 away
+    # A point set built unchecked, as no knot has these distances, puts
+    # vertices 1893 and 1904 at them from vertex 0 and every other vertex
+    # at least 3n/2 away; every coordinate lies in [0, n]
     n = 3808
     far = [(n, y, z) for y in range(n // 2, n + 1) for z in (0, 1)]
     coords = np.array([(0, 0, 0)] + far[: n - 1], dtype=np.int64)
     coords[1893], coords[1904] = (3614, 0, 0), (0, 3635, 0)
-    knot = LatticeKnot(coords)
+    knot = _valid_knot(coords)
     rows = [row.value for row in heatmap(knot)]
     assert rows[0] == Fraction(2 * 1904, 3635) > Fraction(2 * 1893, 3614)
     assert rows == reference_heatmap_rows(knot)

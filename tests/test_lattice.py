@@ -11,9 +11,11 @@ import knotdist.lattice
 from knotdist import (
     Axis,
     InvalidKnotError,
+    Isometry,
     LatticeKnot,
     LatticePoint,
     certify_unknot,
+    exhaustive_small,
     gromov1_distortion,
     heatmap,
     lattice_isometries,
@@ -203,6 +205,49 @@ def test_validate_equals_the_reference_on_mutated_walks(vertices):
         assert validate(np.array(vertices, dtype=np.int64)) == expected
 
 
+SMALL_KNOTS = tuple(exhaustive_small(8))
+
+
+@st.composite
+def mutated_small_knots(draw):
+    """Twice the vertices of a knot of at most 8 edges, with one vertex
+    moved by at most one unit per axis, copied over another, or deleted,
+    or with one entry made odd."""
+    knot = draw(st.sampled_from(SMALL_KNOTS))
+    doubled = np.array(knot.coords)
+    i, j = draw(st.integers(0, knot.n - 1)), draw(st.integers(0, knot.n - 1))
+    kind = draw(st.sampled_from(["move", "copy", "delete", "odd"]))
+    if kind == "move":
+        doubled[i] += 2 * np.array(draw(st.tuples(*[st.integers(-1, 1)] * 3)))
+    elif kind == "copy":
+        doubled[j] = doubled[i]
+    elif kind == "delete":
+        doubled = np.delete(doubled, i, axis=0)
+    else:
+        doubled[i, draw(st.integers(0, 2))] += draw(st.sampled_from([1, -1]))
+    return doubled
+
+
+def construct_like_from_true(doubled):
+    """LatticeKnot(doubled) against LatticeKnot.from_true(doubled // 2):
+    'odd' when an entry is odd and the constructor refuses it, else
+    'refused' or 'accepted', which both must agree on."""
+    if (doubled % 2).any():
+        with pytest.raises(ValueError, match="must be even"):
+            LatticeKnot(doubled)
+        return "odd"
+    try:
+        want = LatticeKnot.from_true(doubled // 2)
+    except InvalidKnotError as error:
+        with pytest.raises(InvalidKnotError) as refused:
+            LatticeKnot(doubled)
+        assert refused.value.result == error.result
+        return "refused"
+    got = LatticeKnot(doubled)
+    assert got == want and got.coords.tolist() == doubled.tolist()
+    return "accepted"
+
+
 def test_validate_peak_memory():
     # one int64 key per vertex, sorted once: about 2.4x the input; the
     # three-row lexsort and compares it replaced reached 4.1x
@@ -361,7 +406,6 @@ class TestKnotContract:
         assert repr(transform(rectangle(1, 2), translate=(3, 0, -1))) == (
             "LatticeKnot(n=6, start=LatticePoint(3, 0, -1))"
         )
-        assert repr(LatticeKnot([])) == "LatticeKnot(n=0)"
 
     def test_two_coordinate_points_rejected(self):
         flat = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -402,9 +446,14 @@ class TestKnotContract:
         far = transform(rectangle(1, 1), translate=(2**62 - 2, 0, 0))
         with pytest.raises(OverflowError):
             transform(far, translate=(1, 0, 0))
+        # a valid knot's doubled coordinates lie within +-(2^63 - 2), so a flip
+        # cannot overflow: the knot at the edge of the range flips exactly
+        edge = transform(rectangle(1, 1), translate=(-(2**62 - 1), 0, 0))
         flip = next(iso for iso in lattice_isometries() if iso.signs == (-1, 1, 1))
-        with pytest.raises(OverflowError):
-            transform(LatticeKnot(np.array([[-(2**63), 0, 0]] * 4)), flip)
+        flipped = transform(edge, flip)
+        assert flipped.coords.tolist() == [[-x, y, z] for x, y, z in edge.coords.tolist()]
+        assert int(flipped.coords.max()) == 2**63 - 2
+        assert LatticeKnot(flipped.coords) == flipped
 
     def test_transform_and_scale_match_the_points(self, small_corpus):
         isos = lattice_isometries()
@@ -423,13 +472,34 @@ class TestKnotContract:
                 for t in range(3)
             )
 
-    def test_empty_knot_passes_through_transform_and_scale(self):
-        empty = LatticeKnot(np.empty((0, 3), dtype=np.int64))
-        flip = next(iso for iso in lattice_isometries() if iso.signs == (-1, 1, 1))
-        assert transform(empty) is empty and transform(empty, flip, (1, 2, 3)) is empty
-        assert scale(empty, 1) is empty and scale(empty, 3) is empty
-        with pytest.raises(ValueError, match="scale factor"):
-            scale(empty, 0)
+    def test_empty_knot_is_refused(self):
+        for empty in ([], np.empty((0, 3), dtype=np.int64)):
+            with pytest.raises(InvalidKnotError) as refused:
+                LatticeKnot(empty)
+            assert refused.value.result.codes() == {"too_short"}
+
+    def test_coincident_vertices_are_refused(self):
+        # closed unit steps, but vertices 2 and 3 repeat vertices 0 and 1
+        with pytest.raises(InvalidKnotError) as refused:
+            LatticeKnot(np.array([(0, 0, 0), (2, 0, 0), (0, 0, 0), (2, 0, 0)]))
+        assert refused.value.result.codes() == {"not_embedded"}
+
+    def test_constructor_accepts_what_from_true_accepts(self):
+        outcomes = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(doubled=mutated_small_knots())
+        def check(doubled):
+            outcomes.add(construct_like_from_true(doubled))
+
+        check()
+        assert outcomes == {"odd", "refused", "accepted"}
+
+    def test_isometry_must_permute_the_axes(self):
+        for perm, signs in (((0, 0, 1), (1, 1, 1)), ((0, 1, 2), (2, 1, 1)),
+                            ((0, 1, 2), (1, 0, 1))):
+            with pytest.raises(ValueError, match="not a lattice isometry"):
+                transform(rectangle(1, 1), Isometry(perm, signs))
 
     def test_report_path_builds_no_points(self):
         knot = parse_knot(serialize(torus_knot(2, 3)))
