@@ -1,6 +1,7 @@
 """Generators: exact rectangles, torus conformations, seeded polygons,
 exhaustive enumeration."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from knotdist import (
     THRESHOLD_LOW,
     GeneratorError,
     exhaustive_small,
+    move_string,
     random_polygon,
     rectangle,
     scale,
@@ -39,6 +41,20 @@ from test_tooling import load_perfbench
 WALK_DEAD_END = (4000, 9)
 TORUS_GRID = [(p, q, s) for p in range(2, 8) for q in range(2, 8) if math.gcd(p, q) == 1
               for s in range(2, 25)]
+# the random polygons whose move strings, followed by those of
+# exhaustive_small(10) in order, GENERATED_DIGEST pins
+PINNED_POLYGONS = ([(length, seed) for length in range(4, 121, 2) for seed in range(4)]
+                   + [(length, seed) for length in (600, 1000, 2000) for seed in (0, 1)])
+GENERATED_DIGEST = "db039005b1f61db71faf09419f282fa96937cdf5a205d01120ccd45da0165ad1"
+
+
+def four_run_rectangle(m, n):
+    """The rectangle's vertices as its four sides, from the origin."""
+    vs = [(i, 0, 0) for i in range(n)]
+    vs += [(n, j, 0) for j in range(m)]
+    vs += [(n - i, m, 0) for i in range(n)]
+    vs += [(0, m - j, 0) for j in range(m)]
+    return vs
 
 
 class TestRectangle:
@@ -72,6 +88,11 @@ class TestRectangle:
     def test_bad_sides_rejected(self):
         with pytest.raises(ValueError):
             rectangle(0, 3)
+
+    def test_vertices_are_the_four_sides(self):
+        sides = [(m, n) for m in range(1, 13) for n in range(1, 13)] + [(1, 4999)]
+        for m, n in sides:
+            assert rectangle(m, n).true_vertices() == four_run_rectangle(m, n), (m, n)
 
 
 class TestTorusKnot:
@@ -108,6 +129,18 @@ class TestTorusKnot:
                 for tried in range(s, s + _TORUS_SCALES_TRIED):
                     assert 64 * int(2 * math.pi * math.hypot(2 * p, q) * tried) <= bound
                     assert len(_sample_torus(p, q, tried)) <= bound
+
+    def test_repaired_walks_validate(self):
+        # so from_true never refuses what _repair_touches returns
+        repaired = 0
+        for case in TORUS_GRID:
+            if case[2] > 6:
+                continue
+            walk = _repair_touches(_drop_backtracks(generators._connect(_sample_torus(*case))))
+            if walk is not None:
+                assert validate(walk).ok, case
+                repaired += 1
+        assert repaired > 100
 
     def test_retries_the_next_scale(self):
         # the walk rounded at scale 2 keeps a touch point no detour clears
@@ -287,11 +320,23 @@ class TestExhaustiveSmall:
 
     def test_class_counts(self):
         by_n = {}
-        for knot in exhaustive_small(8):
+        for knot in exhaustive_small(10):
             by_n.setdefault(knot.n, []).append(knot)
         assert len(by_n[4]) == 1
         assert len(by_n[6]) == 3
         assert len(by_n[8]) == 11
+        assert len(by_n[10]) == 73
+
+    def test_enumeration_has_no_search_budget(self, monkeypatch):
+        # the random search's budget bounds random_polygon alone; at 14
+        # edges the enumeration pushes more vertices than its default
+        monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", 10)
+        counts = {}
+        for knot in exhaustive_small(8):
+            counts[knot.n] = counts.get(knot.n, 0) + 1
+        assert counts == {4: 1, 6: 3, 8: 11}
+        with pytest.raises(ValueError, match="at most 11"):
+            random_polygon(12, 0)
 
     def test_all_outputs_validate_and_dedupe(self):
         seen = set()
@@ -320,3 +365,14 @@ class TestExhaustiveSmall:
             assert (cert.verdict == "unknot_certified") == (cert.delta <= THRESHOLD_LOW)
             assert not cert.near_threshold
 
+
+
+def test_generated_move_strings_are_pinned():
+    # every conformation the census and the benchmark corpora use comes
+    # from these searches; a change to either must change no output
+    digest = hashlib.sha256()
+    for length, seed in PINNED_POLYGONS:
+        digest.update(move_string(random_polygon(length, seed)).encode() + b"\n")
+    for knot in exhaustive_small(10):
+        digest.update(move_string(knot).encode() + b"\n")
+    assert digest.hexdigest() == GENERATED_DIGEST
