@@ -5,22 +5,23 @@ standard parametric curve, rounding onto the lattice and repairing any
 touch points.  The curve is evaluated in numpy, in fixed chunks of
 samples, and rounds to exactly the points of a scalar loop over math's
 sin and cos: samples that numpy's trig error could round otherwise are
-redone by that loop's expression.  Random polygons come from a seeded
-backtracking search, and small polygons can be enumerated exhaustively up
-to the 48 lattice isometries, translation, cycle rotation and orientation
-reversal.
+redone by that loop's expression.  One depth-first search for closed
+self-avoiding walks, _closed_walks, yields both the seeded random polygons
+and the small polygons enumerated up to the 48 lattice isometries,
+translation, cycle rotation and orientation reversal; every polygon but a
+torus knot is built from its move string.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .knotfile import MOVE_LETTERS, knot_from_moves
-from .lattice import UNIT_STEPS, InvalidKnotError, LatticeKnot, lattice_isometries
+from .lattice import UNIT_STEPS, LatticeKnot, lattice_isometries
 
 # moves 0..5 are +x,-x,+y,-y,+z,-z, written MOVE_LETTERS[0..5] in a move string
 _STEPS = UNIT_STEPS
@@ -58,11 +59,7 @@ def rectangle(m: int, n: int) -> LatticeKnot:
     origin: m rows tall (y), n columns wide (x), 2(m + n) edges."""
     if m < 1 or n < 1:
         raise ValueError(f"rectangle sides must be >= 1, got {m}x{n}")
-    vs = [(i, 0, 0) for i in range(n)]
-    vs += [(n, j, 0) for j in range(m)]
-    vs += [(n - i, m, 0) for i in range(n)]
-    vs += [(0, m - j, 0) for j in range(m)]
-    return LatticeKnot.from_true(vs)
+    return knot_from_moves("X" * n + "Y" * m + "x" * n + "y" * m)
 
 
 # -- torus knots ----------------------------------------------------------
@@ -217,15 +214,60 @@ def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE) -> LatticeKnot:
         tried.append(s)
         walk = _drop_backtracks(_connect(_sample_torus(p, q, s)))
         repaired = _repair_touches(walk)
-        if repaired is None:
-            continue
-        try:
+        if repaired is not None:
             return LatticeKnot.from_true(repaired)
-        except InvalidKnotError:
-            continue
     raise GeneratorError(
         f"could not realise torus knot ({p}, {q}) on the lattice; tried scales {tried}"
     )
+
+
+# -- closed walks -----------------------------------------------------------
+
+
+def _closed_walks(
+    length: int, moves_at: Callable[[list[int]], list[int]], budget: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Every closed self-avoiding walk of `length` moves from the origin,
+    as a tuple of moves, depth first; `length` is even.
+
+    At the start and after each move, the search tries the moves of the
+    list moves_at(moves), last first.  It pushes a vertex only if it is
+    new and the origin is within taxicab reach of the moves left, and
+    stops before its (budget + 1)-th push.
+    """
+    origin = (0, 0, 0)
+    path = [origin]
+    visited = {origin}
+    moves: list[int] = []
+    frames = [moves_at(moves)]
+    nodes = 0
+    while frames:
+        frame = frames[-1]
+        if not frame:
+            frames.pop()
+            if moves:
+                moves.pop()
+                visited.discard(path.pop())
+            continue
+        move = frame.pop()
+        x, y, z = path[-1]
+        dx, dy, dz = _STEPS[move]
+        nxt = (x + dx, y + dy, z + dz)
+        # the moves left after this one
+        left = length - len(path)
+        if nxt == origin:
+            if not left:
+                yield (*moves, move)
+            continue
+        if nxt in visited or abs(nxt[0]) + abs(nxt[1]) + abs(nxt[2]) > left:
+            continue
+        if nodes == budget:  # never while budget is None
+            return
+        nodes += 1
+        path.append(nxt)
+        visited.add(nxt)
+        moves.append(move)
+        frames.append(moves_at(moves))
 
 
 # -- random polygons -------------------------------------------------------
@@ -234,11 +276,11 @@ def torus_knot(p: int, q: int, scale: int = DEFAULT_TORUS_SCALE) -> LatticeKnot:
 def random_polygon(length: int, seed: int) -> LatticeKnot:
     """Seeded closed self-avoiding polygon with exactly `length` edges.
 
-    Backtracking search over unit moves, pruned by taxicab reachability
-    and parity; a length the search budget cannot reach is rejected.
-    The PRNG is Python's Mersenne Twister seeded with a string derived
-    from (seed, attempt), so identical arguments yield identical polygons
-    everywhere.
+    The first walk _closed_walks yields when it tries the six moves in a
+    fresh random order at each vertex, within _WALK_NODE_BUDGET pushes; a
+    length that budget cannot reach is rejected.  The PRNG is Python's
+    Mersenne Twister seeded with a string derived from (seed, attempt), so
+    identical arguments yield identical polygons everywhere.
     """
     if length < 4 or length % 2:
         raise ValueError(f"polygon length must be even and >= 4, got {length}")
@@ -247,47 +289,13 @@ def random_polygon(length: int, seed: int) -> LatticeKnot:
         raise ValueError(f"polygon length must be at most {_WALK_NODE_BUDGET + 1}, got {length}")
     for attempt in range(_POLYGON_ATTEMPTS):
         rng = random.Random(f"knotdist.random_polygon:{seed}:{attempt}")
-        walk = _random_walk(length, rng)
-        if walk is not None:
-            return LatticeKnot.from_true(walk)
+        walks = _closed_walks(length, lambda _: rng.sample(range(6), 6), _WALK_NODE_BUDGET)
+        moves = next(walks, None)
+        if moves is not None:
+            return knot_from_moves("".join(map(MOVE_LETTERS.__getitem__, moves)))
     raise GeneratorError(
         f"no closed self-avoiding polygon of length {length} found for seed {seed}"
     )
-
-
-def _random_walk(length: int, rng: random.Random) -> Optional[list[tuple[int, int, int]]]:
-    origin = (0, 0, 0)
-    path = [origin]
-    visited = {origin}
-    frames: list[list[int]] = [rng.sample(range(6), 6)]
-    nodes = 0
-    while frames:
-        if not frames[-1]:
-            frames.pop()
-            if len(path) > 1:
-                visited.discard(path.pop())
-            continue
-        move = frames[-1].pop()
-        cur = path[-1]
-        step = _STEPS[move]
-        nxt = (cur[0] + step[0], cur[1] + step[1], cur[2] + step[2])
-        moves_left = length - (len(path) - 1)
-        if nxt == origin:
-            if moves_left == 1:
-                return path
-            continue
-        if nxt in visited:
-            continue
-        dist = abs(nxt[0]) + abs(nxt[1]) + abs(nxt[2])
-        if dist > moves_left - 1 or (moves_left - 1 - dist) % 2:
-            continue
-        nodes += 1
-        if nodes > _WALK_NODE_BUDGET:
-            return None
-        path.append(nxt)
-        visited.add(nxt)
-        frames.append(rng.sample(range(6), 6))
-    return None
 
 
 # -- exhaustive enumeration --------------------------------------------------
@@ -319,49 +327,20 @@ def canonical_moves(moves: tuple[int, ...]) -> tuple[int, ...]:
 def _enumerate_classes(n: int) -> list[tuple[int, ...]]:
     """Canonical move strings of all length-n polygons up to isometry.
 
-    The search fixes the first move to +x, the first move off the x axis
-    to +y and the first z move to +z; every isometry class has such a
-    representative, and canonical-form deduplication removes the rest.
+    The walks of _closed_walks whose first move is +x, whose first move
+    off the x axis is +y and whose first z move is +z; every isometry
+    class has such a representative, and canonical-form deduplication
+    removes the rest.
     """
-    origin = (0, 0, 0)
-    found: set[tuple[int, ...]] = set()
-    moves: list[int] = []
-    visited = {origin}
 
-    def rec(pos: tuple[int, int, int], used_y: bool, used_z: bool) -> None:
-        remaining = n - len(moves)
-        if remaining == 0:
-            if pos == origin:
-                found.add(canonical_moves(tuple(moves)))
-            return
-        dist = abs(pos[0]) + abs(pos[1]) + abs(pos[2])
-        if dist > remaining or (remaining - dist) % 2:
-            return
-        for mv in range(6):
-            if not moves and mv != 0:
-                continue
-            if mv >= 2 and not used_y and mv != 2:
-                continue
-            if mv >= 4 and not used_z and mv != 4:
-                continue
-            s = _STEPS[mv]
-            nxt = (pos[0] + s[0], pos[1] + s[1], pos[2] + s[2])
-            if nxt == origin:
-                if remaining == 1:
-                    moves.append(mv)
-                    rec(nxt, used_y, used_z)
-                    moves.pop()
-                continue
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            moves.append(mv)
-            rec(nxt, used_y or mv >= 2, used_z or mv >= 4)
-            moves.pop()
-            visited.discard(nxt)
+    def symmetry_broken(moves: list[int]) -> list[int]:
+        # +x first; no -y, +z or -z before a y move, and no -z before a z move
+        if not moves:
+            return [0]
+        top = max(moves)
+        return list(range(3 if top < 2 else 5 if top < 4 else 6))
 
-    rec(origin, False, False)
-    return sorted(found)
+    return sorted({canonical_moves(walk) for walk in _closed_walks(n, symmetry_broken)})
 
 
 def exhaustive_small(n_max: int) -> Iterator[LatticeKnot]:
