@@ -131,7 +131,8 @@ class TestTorusKnot:
                     assert len(_sample_torus(p, q, tried)) <= bound
 
     def test_repaired_walks_validate(self):
-        # so from_true never refuses what _repair_touches returns
+        # torus_knot passes these walks to from_true with no handler for
+        # a refusal
         repaired = 0
         for case in TORUS_GRID:
             if case[2] > 6:
@@ -328,8 +329,8 @@ class TestExhaustiveSmall:
         assert len(by_n[10]) == 73
 
     def test_enumeration_has_no_search_budget(self, monkeypatch):
-        # the random search's budget bounds random_polygon alone; at 14
-        # edges the enumeration pushes more vertices than its default
+        # the budget bounds random_polygon alone: at 14 edges the
+        # enumeration pushes 759,773 vertices, past the default 500,000
         monkeypatch.setattr(generators, "_WALK_NODE_BUDGET", 10)
         counts = {}
         for knot in exhaustive_small(8):
@@ -364,7 +365,6 @@ class TestExhaustiveSmall:
             assert cert.verdict in ("unknot_certified", "inconclusive")
             assert (cert.verdict == "unknot_certified") == (cert.delta <= THRESHOLD_LOW)
             assert not cert.near_threshold
-
 
 
 def test_generated_move_strings_are_pinned():
