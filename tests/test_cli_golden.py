@@ -124,6 +124,7 @@ def cases() -> list[list[str]]:
         ["generate"],
         ["generate", "--kind", "rectangle", "--m", "x"],
         ["enumerate", "--max-edges", "8"],
+        ["enumerate", "--max-edges", "12"],
         ["enumerate", "--max-edges", "5"],
         ["enumerate", "--max-edges", "3"],
         ["enumerate"],
