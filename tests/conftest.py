@@ -25,12 +25,13 @@ from knotdist import (
     ValidationResult,
     Violation,
     heatmap,
+    lattice_isometries,
     random_polygon,
     rectangle,
     torus_knot,
 )
 from knotdist.engine import _Sweep
-from knotdist.lattice import COORD_LIMIT
+from knotdist.lattice import COORD_LIMIT, UNIT_STEPS
 
 
 def reference_vertex_distortion(true_vertices):
@@ -393,6 +394,34 @@ def reference_sample_torus(p: int, q: int, s: int) -> list[tuple[int, int, int]]
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
     return pts
+
+
+# the 48 lattice isometries as relabelings of the six moves UNIT_STEPS lists
+RELABELINGS = tuple(
+    tuple(UNIT_STEPS.index(iso.apply(step)) for step in UNIT_STEPS) for iso in lattice_isometries()
+)
+
+
+def reference_canonical_moves(moves: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least move sequence over all 48 relabelings,
+    cycle rotations and both orientations of a closed walk.
+
+    The generators' brute force as it was before it relabeled by one
+    normal form: every isometry applied to the six unit steps, then every
+    rotation of the walk and of its reversal.
+    """
+    opposite = (1, 0, 3, 2, 5, 4)
+    n = len(moves)
+    reverse = tuple(opposite[m] for m in reversed(moves))
+    best = None
+    for table in RELABELINGS:
+        for seq in (moves, reverse):
+            relabeled = tuple(table[m] for m in seq)
+            for r in range(n):
+                cand = relabeled[r:] + relabeled[:r]
+                if best is None or cand < best:
+                    best = cand
+    return best
 
 
 def witness_true_pairs(report):

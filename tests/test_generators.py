@@ -27,13 +27,16 @@ from knotdist import (
 from knotdist import generators
 from knotdist.generators import (
     _TORUS_SCALES_TRIED,
+    _closed_walks,
     _drop_backtracks,
+    _normal_form,
+    _normal_moves,
     _repair_touches,
     _sample_torus,
     canonical_moves,
     torus_sample_bound,
 )
-from conftest import reference_sample_torus
+from conftest import RELABELINGS, reference_canonical_moves, reference_sample_torus
 from test_tooling import load_perfbench
 
 # a random polygon (length, seed) whose every search attempt backs out of a
@@ -313,20 +316,51 @@ def canonical_moves_of(knot):
     return canonical_moves(tuple(moves))
 
 
+@pytest.fixture(scope="module")
+def census():
+    """exhaustive_small(12) in order, each polygon with its vertex report."""
+    return [(knot, vertex_distortion(knot)) for knot in exhaustive_small(12)]
+
+
+class TestNormalForm:
+    def test_canonical_form_equals_brute_force(self):
+        # every closed walk of up to 8 edges, most of them not in normal
+        # form, against the least of all 48 relabelings of every rotation
+        # and of every rotation of the reversal
+        count = 0
+        for n in (4, 6, 8):
+            for walk in _closed_walks(n, lambda _: list(range(6))):
+                assert canonical_moves(walk) == reference_canonical_moves(walk), walk
+                count += 1
+        assert count == 3600
+
+    def test_normal_form_is_least_relabeling(self):
+        for walk in _closed_walks(8, lambda _: list(range(6))):
+            relabelings = [tuple(table[m] for m in walk) for table in RELABELINGS]
+            assert _normal_form(walk) == min(relabelings)
+
+    def test_search_streams_normal_forms_in_order(self):
+        # the census yields the walks that are least among their cycle
+        # forms as the search finds them: sound because the search yields
+        # each walk in normal form once, in lexicographic order
+        for n in range(4, 11, 2):
+            walks = list(_closed_walks(n, _normal_moves))
+            assert all(a < b for a, b in zip(walks, walks[1:]))
+            assert all(_normal_form(walk) == walk for walk in walks)
+
+
 class TestExhaustiveSmall:
     def test_single_class_at_four(self):
         classes = [k for k in exhaustive_small(4)]
         assert len(classes) == 1
         assert canonical_moves_of(classes[0]) == canonical_moves_of(rectangle(1, 1))
 
-    def test_class_counts(self):
+    def test_class_counts(self, census):
         by_n = {}
-        for knot in exhaustive_small(10):
-            by_n.setdefault(knot.n, []).append(knot)
-        assert len(by_n[4]) == 1
-        assert len(by_n[6]) == 3
-        assert len(by_n[8]) == 11
-        assert len(by_n[10]) == 73
+        for knot, _ in census:
+            by_n[knot.n] = by_n.get(knot.n, 0) + 1
+        assert by_n == {4: 1, 6: 3, 8: 11, 10: 73, 12: 755}
+        assert len(census) == 843
 
     def test_enumeration_has_no_search_budget(self, monkeypatch):
         # the budget bounds random_polygon alone: at 14 edges the
@@ -347,24 +381,26 @@ class TestExhaustiveSmall:
             assert key not in seen
             seen.add(key)
 
-    def test_distortion_one_census(self, unit_square, skew_hexagon):
-        ones = [k for k in exhaustive_small(10) if vertex_distortion(k).delta == 1]
-        keys = {canonical_moves_of(k) for k in ones}
-        assert len(ones) == 2
-        assert canonical_moves_of(unit_square) in keys
-        assert canonical_moves_of(skew_hexagon) in keys
+    def test_distortion_one_census(self, census, unit_square, skew_hexagon):
+        ones = [knot for knot, rep in census if rep.delta == 1]
+        assert [move_string(k) for k in ones] == ["XYxy", "XYZxyz"]
+        assert canonical_moves_of(ones[0]) == canonical_moves_of(unit_square)
+        assert canonical_moves_of(ones[1]) == canonical_moves_of(skew_hexagon)
 
-    def test_certificate_soundness_on_small_polygons(self):
+    def test_certificate_soundness_on_small_polygons(self, census):
         # every polygon this small is an unknot (the smallest knotted one
         # has 24 edges), so no verdict here can be a false claim; check the
         # decision is exactly the threshold comparison
         from knotdist import certify_unknot
 
-        for knot in exhaustive_small(10):
-            cert = certify_unknot(vertex_distortion(knot))
+        certified = 0
+        for _, rep in census:
+            cert = certify_unknot(rep)
             assert cert.verdict in ("unknot_certified", "inconclusive")
             assert (cert.verdict == "unknot_certified") == (cert.delta <= THRESHOLD_LOW)
             assert not cert.near_threshold
+            certified += cert.verdict == "unknot_certified"
+        assert certified == 46
 
 
 def test_generated_move_strings_are_pinned():
