@@ -344,7 +344,7 @@ def exhaustive_small(n_max: int) -> Iterator[LatticeKnot]:
     _closed_walks yields the walks in normal form in lexicographic order,
     and every cycle form of a polygon is one of them, so each walk no
     greater than all its cycle forms is yielded as found.  12 edges take
-    about a second, and each two more about 16 times as long.
+    about half a second, 14 about ten.
     """
     if n_max < 4:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
