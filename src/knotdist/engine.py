@@ -33,6 +33,10 @@ bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time; one selection pass per block keeps each row's best ratio by a
 float key, float32 when n^2 < 2^22, else float64 (see _Sweep._sweep_rows).
+Each pass of the row sweep reads contiguous operands: the kernel writes
+a contiguous block, a copy of it in a doubled buffer is read through one
+strided view made per sweep, and the key is the block cast to the key's
+dtype, then scaled in place.
 A LatticeKnot is valid by construction, so shifted coordinates lie in
 [0, n] and taxicab sums are at most 3n: the kernel runs in int16 when
 3n < 2^15, else int32, picked once per knot.  3n >= 2^31 is refused.
@@ -175,10 +179,11 @@ class _Sweep:
     [0, n] and taxicab sums are at most 3n; the kernel holds them in int16
     when 3n < 2^15, else int32.  A Python int mixed with such an array
     keeps the array's dtype and would wrap silently, so each such
-    expression notes its bound.  Squared Euclidean sums reach 3 n^2 and
-    are taken in int64.  Each of the three coordinate rows is stored
+    expression notes its bound.  Each of the three coordinate rows is stored
     twice, so the band partner i - d (mod n) of index i is the window
-    [n - d, 2n - d) of the doubled rows.
+    [n - d, 2n - d) of the doubled rows.  The kernel writes its distances
+    into a C-contiguous buffer that its driver sets up: into strided rows,
+    its two adds take more than twice as long.
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -292,14 +297,32 @@ class _Sweep:
         either).  One pass per block marks the bands at each row's least
         key and keeps the largest c among them, in the kernel's dtype.  At
         the end 2d = rint(c / key) in float64, off by at most n 2^-22 < 1/2.
+
+        Every pass reads contiguous operands.  The kernel writes each block
+        into the contiguous (width, n) dist.  A doubled copy, wide, repeats
+        each row's first d1 - 1 distances after it, and one strided view
+        made before the loop, forward[b, k] = wide[b, b + k], hands each
+        block its partners' distances as forward[:w, d0 : d0 + n].  The key
+        is c cast to the key's dtype, then scaled in place by fl(1 / 2d): c
+        <= 3n is exact in float32 and float64, so this rounds c * fl(1 / 2d)
+        once, bit for bit as a mixed int-by-float multiply would, without
+        that multiply's half-speed broadcast cast.
         """
         n, h, dtype = self.n, self.n // 2, self.coords.dtype
         if n > MAX_HEATMAP_EDGES:
             raise ValueError(f"knot has {n} edges; the heatmap takes at most {MAX_HEATMAP_EDGES}")
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
+        self.dist = np.empty((width, n), dtype=dtype)
         # doubled like the coordinates, so a row can read dist[j + d]
-        self.dist = np.empty((width, 2 * n), dtype=dtype)
+        wide = np.empty((width, 2 * n), dtype=dtype)
+        # forward[b, k] = wide[b, b + k], at flat offset b (2n + 1) + k, so
+        # long as b + k < 2n; as_strided checks no bounds, but b < width <= h
+        # and k < n + h give b + k <= n + 2h - 2 < 2n: every element,
+        # the last at (width - 1)(2n + 1) + n + h - 1, lies in its row of wide
+        item = wide.itemsize
+        forward = as_strided(wide.reshape(-1), shape=(width, n + h),
+                             strides=((2 * n + 1) * item, item), writeable=False)
         cand_buffer = np.empty((width, n), dtype=dtype)
         key_buffer = np.empty((width, n), dtype=np.float32 if n * n < 2**22 else np.float64)
         hit_buffer = np.empty((width, n), dtype=bool)
@@ -307,21 +330,19 @@ class _Sweep:
         inverse_twice_d = 0.5 / np.arange(1, h + 1, dtype=key_buffer.dtype)[:, None]
         row_key = np.full(n, np.inf, dtype=key_buffer.dtype)
         row_den = np.ones(n, dtype=dtype)
-        item = self.dist.itemsize
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
             w = d1 - d0
-            self._bands(d0, d1)
-            block = self.dist[:w]
-            # forward[b, j] = block[b, j + d0 + b], at flat offset
-            # b * 2n + (d0 + b + j) of the buffer; the column d0 + b + j is at
-            # most d1 + n - 2 < 2n, as d1 <= n/2 + 1, so it stays in row b,
-            # where the columns from n on repeat the first d1 - 1
-            block[:, n : n + d1 - 1] = block[:, : d1 - 1]
-            forward = as_strided(self.dist.reshape(-1)[d0:], shape=(w, n),
-                                 strides=((2 * n + 1) * item, item), writeable=False)
-            cand = np.minimum(block[:, :n], forward, out=cand_buffer[:w])
-            key = np.multiply(cand, inverse_twice_d[d0 - 1 : d1 - 1], out=key_buffer[:w])
+            block = self._bands(d0, d1)
+            # forward[b, d0 + j] = wide[b, d + j], d = d0 + b, reads column
+            # d + j <= n + d1 - 2, inside the copy: block[b, (d + j) mod n]
+            wide[:w, :n] = block
+            wide[:w, n : n + d1 - 1] = block[:, : d1 - 1]
+            cand = np.minimum(block, forward[:w, d0 : d0 + n], out=cand_buffer[:w])
+            # cast, then scale: bit for bit the mixed multiply (see above)
+            key = key_buffer[:w]
+            np.copyto(key, cand)
+            key *= inverse_twice_d[d0 - 1 : d1 - 1]
             least = key.min(axis=0)
             # an argmin over axis 0 would copy the block transposed and cost
             # more; in place and in the kernel's dtype, as hit * cand <= 3n
@@ -343,11 +364,20 @@ class _Sweep:
 
 
 class _EuclideanSweep(_Sweep):
-    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound)."""
+    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound).
+
+    Squared Euclidean sums reach 3n^2: they are taken in int32 while
+    3n^2 < 2^31 (n <= 26,754), else int64, picked once per knot.
+    """
+
+    def __init__(self, knot: LatticeKnot):
+        super().__init__(knot)
+        self.square_dtype = np.int32 if 3 * self.n**2 < 2**31 else np.int64
 
     def _step(self, d: int) -> int:
         self._bands(d, d + 1)
-        e2 = int(np.square(self.diff[:, 0], dtype=np.int64).sum(axis=0).min())
+        dtype = self.square_dtype
+        e2 = int(np.square(self.diff[:, 0], dtype=dtype).sum(axis=0, dtype=dtype).min())
         if 4 * d * d * self.den > self.num * e2:
             self.num, self.den = 4 * d * d, e2
         return math.isqrt(e2)

@@ -25,11 +25,11 @@ from .midpoint_analysis import THRESHOLD_HIGH, THRESHOLD_LOW, certify_unknot
 
 SCHEMA = "latticeknot-report v1"
 # One heatmap row as compact JSON, indented JSON and CSV, from a _heatmap_table row
-_JSON_ROW = '{"index":%d,"vertex":[%d,%d,%d],"num":%d,"den":%d,"decimal":"%d.%06d"}'
-_PRETTY_ROW = ('    {\n      "index": %d,\n      "vertex": [\n        %d,\n        %d,\n'
-               '        %d\n      ],\n      "num": %d,\n      "den": %d,\n'
-               '      "decimal": "%d.%06d"\n    }')
-_CSV_ROW = "%d,%d,%d,%d,%d,%d,%d.%06d\n"
+_JSON_ROW = b'{"index":%d,"vertex":[%d,%d,%d],"num":%d,"den":%d,"decimal":"%d.%06d"}'
+_PRETTY_ROW = (b'    {\n      "index": %d,\n      "vertex": [\n        %d,\n        %d,\n'
+               b'        %d\n      ],\n      "num": %d,\n      "den": %d,\n'
+               b'      "decimal": "%d.%06d"\n    }')
+_CSV_ROW = b"%d,%d,%d,%d,%d,%d,%d.%06d\n"
 
 
 def format_decimal(value: Fraction) -> str:
@@ -65,10 +65,13 @@ def _heatmap_table(heat: Heatmap) -> np.ndarray:
                             *np.divmod(scaled, 10**6)))
 
 
-def _heatmap_text(heat: Heatmap, row: str, sep: str) -> str:
-    """Every row of the heatmap through one % template, joined by sep."""
+def _heatmap_text(heat: Heatmap, row: bytes, sep: bytes) -> str:
+    """Every row of the heatmap through one % template, joined by sep.
+
+    The template is bytes, decoded once: every row is ASCII, and bytes %
+    formats integers faster than str %."""
     table = _heatmap_table(heat)
-    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
+    return (sep.join([row] * len(table)) % tuple(table.ravel().tolist())).decode("ascii")
 
 
 def heatmap_docs(heat: Heatmap) -> list:
@@ -144,10 +147,10 @@ def render_json(doc: dict, pretty: bool = False) -> str:
         doc = {**doc, "heatmap": "\x01"}
     if pretty:
         text = json.dumps(doc, indent=2, default=_half_text)
-        layout = "[\n", _PRETTY_ROW, ",\n", "\n  ]"
+        layout = "[\n", _PRETTY_ROW, b",\n", "\n  ]"
     else:
         text = json.dumps(doc, separators=(",", ":"), default=_half_text)
-        layout = "[", _JSON_ROW, ",", "]"
+        layout = "[", _JSON_ROW, b",", "]"
     # json.dumps writes a float with float.__repr__, which rounds a
     # half-integer past 2**52, so halves pass through it as marked strings
     text = text.replace('"\\u0000', "").replace('\\u0000"', "")
@@ -159,4 +162,4 @@ def render_json(doc: dict, pretty: bool = False) -> str:
 
 
 def heatmap_csv(heat: Heatmap) -> str:
-    return "index,x,y,z,value_num,value_den,value_decimal\n" + _heatmap_text(heat, _CSV_ROW, "")
+    return "index,x,y,z,value_num,value_den,value_decimal\n" + _heatmap_text(heat, _CSV_ROW, b"")

@@ -637,7 +637,7 @@ class TestSweepLayout:
         assert not {"num", "den", "index_pairs", "pairs"} & set(vars(sweeps[-1]))
         vertex_distortion_with_heatmap(trefoil)
         rows = {"row_num", "row_den", "row_key", "cand", "cand_buffer", "key", "key_buffer",
-                "hit", "hit_buffer", "inverse_twice_d"}
+                "hit", "hit_buffer", "inverse_twice_d", "wide", "forward"}
         assert not rows & set(vars(sweeps[-1]))
         assert len(sweeps) == 2
 
@@ -721,6 +721,27 @@ class TestEuclideanBound:
                 diff = c - np.roll(c, d, axis=0)
                 e2 = int((diff * diff).sum(axis=1).min())
                 assert m * m <= e2 < (m + 1) ** 2, (knot, d)
+
+    # squared sums reach 3n^2: int32 while 3n^2 < 2^31, that is n <= 26,754
+    @pytest.mark.parametrize("n, dtype", [(26_754, np.int32), (26_756, np.int64)])
+    def test_squared_sums_of_3n2_at_the_int32_bound(self, n, dtype):
+        # the diagonal point set of the int16 bound tests: vertices 0 and n/2
+        # are n apart on every axis, so band n/2 holds a squared distance of
+        # 3n^2, which an int32 sum at n = 26,756 would wrap
+        i = np.arange(n)
+        c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
+        knot = _valid_knot(np.stack([c, c, c], axis=1))
+        sweep = knotdist.engine._EuclideanSweep(knot)
+        assert sweep.square_dtype == dtype
+        sweep._refine()
+        points = knot.coords.tolist()
+        for d in (1, 2, n // 4, n // 2 - 1, n // 2):
+            # any band beats a running maximum of 0, which then holds its e2
+            sweep.num, sweep.den = 0, 1
+            m = sweep._step(d)
+            want = min(sum((a - b) ** 2 for a, b in zip(points[j], points[j - d]))
+                       for j in range(n))
+            assert (sweep.den, m) == (want, math.isqrt(want)), d
 
     @pytest.mark.parametrize("knot, most", [(rectangle(2500, 2500), 60),
                                             (torus_knot(2, 3, 40), 80)])
@@ -846,6 +867,28 @@ class TestBlockedSweep:
             assert set(widths[:-1]) <= {min(width, 60)} and widths[-1] <= min(width, 60)
         _, blocks = sweep_blocks(monkeypatch, knot, None, vertex_distortion)
         assert all(d1 == d0 + 1 for d0, d1 in blocks)
+
+    def test_kernel_blocks_are_contiguous_and_one_view_per_sweep(self, monkeypatch, trefoil):
+        # a block written into a strided buffer, or a strided view made per
+        # block, runs the row sweep at about half speed with equal results
+        contiguous, views = [], []
+        bands, view = knotdist.engine._Sweep._bands, knotdist.engine.as_strided
+
+        def spy(sweep, d0, d1):
+            block = bands(sweep, d0, d1)
+            contiguous.append(block.flags.c_contiguous)
+            return block
+
+        monkeypatch.setattr(knotdist.engine._Sweep, "_bands", spy)
+        monkeypatch.setattr(knotdist.engine, "as_strided",
+                            lambda *args, **kwargs: views.append(1) or view(*args, **kwargs))
+        for knot in (trefoil, random_polygon(2000, 0), rectangle(1, 4999)):
+            for run in (heatmap, vertex_distortion_with_heatmap):
+                contiguous.clear()
+                views.clear()
+                run(knot)
+                assert contiguous and all(contiguous), (knot, run)
+                assert len(views) == 1, (knot, run)
 
     def test_heatmap_rows_across_block_boundaries(self, monkeypatch, small_corpus):
         for knot in block_knots(small_corpus):
