@@ -62,6 +62,17 @@ def reference_gromov1(knot):
     return knotdist.engine._gromov1_from_vertex_report(knot, reference_vertex_report(knot))
 
 
+def diagonal_points(n):
+    """Distinct points on the main diagonal, each axis spanning exactly n.
+
+    Not a knot, so built unchecked: it puts vertices 0 and n/2 at taxicab
+    distance 3n, which no knot reaches.
+    """
+    i = np.arange(n)
+    c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
+    return _valid_knot(np.stack([c, c, c], axis=1))
+
+
 def all_pairs(knot):
     """Vertex pairs of the knot; a vertex report below it skipped a band."""
     return knot.n * (knot.n - 1) // 2
@@ -671,12 +682,9 @@ class TestSweepLayout:
 
     @pytest.mark.parametrize("n, dtype", [(10_922, np.int16), (10_924, np.int32)])
     def test_taxicab_sums_of_3n_at_the_int16_bound(self, n, dtype):
-        # not a knot, so built unchecked: distinct points on the main
-        # diagonal, each axis spanning exactly n, so vertices 0 and n/2 are
-        # 3n apart; an int16 kernel at n = 10,924 would wrap that 32,772
-        i = np.arange(n)
-        c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
-        knot = _valid_knot(np.stack([c, c, c], axis=1))
+        # vertices 0 and n/2 are 3n apart; an int16 kernel at n = 10,924
+        # would wrap that 32,772
+        knot = diagonal_points(n)
         assert np.abs(knot.coords[0] - knot.coords[n // 2]).sum() == 3 * n
         assert knotdist.engine._Sweep(knot).coords.dtype == dtype
         assert [row.value for row in heatmap(knot)] == reference_heatmap_rows(knot)
@@ -725,12 +733,9 @@ class TestEuclideanBound:
     # squared sums reach 3n^2: int32 while 3n^2 < 2^31, that is n <= 26,754
     @pytest.mark.parametrize("n, dtype", [(26_754, np.int32), (26_756, np.int64)])
     def test_squared_sums_of_3n2_at_the_int32_bound(self, n, dtype):
-        # the diagonal point set of the int16 bound tests: vertices 0 and n/2
-        # are n apart on every axis, so band n/2 holds a squared distance of
-        # 3n^2, which an int32 sum at n = 26,756 would wrap
-        i = np.arange(n)
-        c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
-        knot = _valid_knot(np.stack([c, c, c], axis=1))
+        # vertices 0 and n/2 are n apart on every axis, so band n/2 holds a
+        # squared distance of 3n^2, which an int32 sum at n = 26,756 would wrap
+        knot = diagonal_points(n)
         sweep = knotdist.engine._EuclideanSweep(knot)
         assert sweep.square_dtype == dtype
         sweep._refine()
@@ -869,8 +874,9 @@ class TestBlockedSweep:
         assert all(d1 == d0 + 1 for d0, d1 in blocks)
 
     def test_kernel_blocks_are_contiguous_and_one_view_per_sweep(self, monkeypatch, trefoil):
-        # a block written into a strided buffer, or a strided view made per
-        # block, runs the row sweep at about half speed with equal results
+        # a block written into strided rows halves the speed of the kernel's
+        # adds, and a strided view made per block adds Python per block;
+        # neither changes a result, so only this test sees them
         contiguous, views = [], []
         bands, view = knotdist.engine._Sweep._bands, knotdist.engine.as_strided
 
