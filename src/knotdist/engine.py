@@ -33,10 +33,6 @@ bands per kernel call, in any order, so that on knots of a few thousand
 edges the per-call overhead of numpy, not the arithmetic, stops setting
 its time; one selection pass per block keeps each row's best ratio by a
 float key, float32 when n^2 < 2^22, else float64 (see _Sweep._sweep_rows).
-Each pass of the row sweep reads contiguous operands: the kernel writes
-a contiguous block, a copy of it in a doubled buffer is read through one
-strided view made per sweep, and the key is the block cast to the key's
-dtype, then scaled in place.
 A LatticeKnot is valid by construction, so shifted coordinates lie in
 [0, n] and taxicab sums are at most 3n: the kernel runs in int16 when
 3n < 2^15, else int32, picked once per knot.  3n >= 2^31 is refused.
@@ -179,11 +175,10 @@ class _Sweep:
     [0, n] and taxicab sums are at most 3n; the kernel holds them in int16
     when 3n < 2^15, else int32.  A Python int mixed with such an array
     keeps the array's dtype and would wrap silently, so each such
-    expression notes its bound.  Each of the three coordinate rows is stored
+    expression notes its bound.  Squared Euclidean sums reach 3 n^2 and
+    are taken in int64.  Each of the three coordinate rows is stored
     twice, so the band partner i - d (mod n) of index i is the window
-    [n - d, 2n - d) of the doubled rows.  The kernel writes its distances
-    into a C-contiguous buffer that its driver sets up: into strided rows,
-    its two adds take more than twice as long.
+    [n - d, 2n - d) of the doubled rows.
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -302,11 +297,11 @@ class _Sweep:
         into the contiguous (width, n) dist.  A doubled copy, wide, repeats
         each row's first d1 - 1 distances after it, and one strided view
         made before the loop, forward[b, k] = wide[b, b + k], hands each
-        block its partners' distances as forward[:w, d0 : d0 + n].  The key
+        block its partners' distances as forward[:w, d0 : d0 + n]: band
+        d = d0 + b reads column d + j <= n + d1 - 2 of wide.  The key
         is c cast to the key's dtype, then scaled in place by fl(1 / 2d): c
         <= 3n is exact in float32 and float64, so this rounds c * fl(1 / 2d)
-        once, bit for bit as a mixed int-by-float multiply would, without
-        that multiply's half-speed broadcast cast.
+        once, bit for bit as a mixed int-by-float multiply would.
         """
         n, h, dtype = self.n, self.n // 2, self.coords.dtype
         if n > MAX_HEATMAP_EDGES:
@@ -314,7 +309,8 @@ class _Sweep:
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
         self.dist = np.empty((width, n), dtype=dtype)
-        # doubled like the coordinates, so a row can read dist[j + d]
+        # wide holds each block doubled like the coordinates, so a row can
+        # read its distance at j + d
         wide = np.empty((width, 2 * n), dtype=dtype)
         # forward[b, k] = wide[b, b + k], at flat offset b (2n + 1) + k, so
         # long as b + k < 2n; as_strided checks no bounds, but b < width <= h
@@ -323,7 +319,6 @@ class _Sweep:
         item = wide.itemsize
         forward = as_strided(wide.reshape(-1), shape=(width, n + h),
                              strides=((2 * n + 1) * item, item), writeable=False)
-        cand_buffer = np.empty((width, n), dtype=dtype)
         key_buffer = np.empty((width, n), dtype=np.float32 if n * n < 2**22 else np.float64)
         hit_buffer = np.empty((width, n), dtype=bool)
         # fl(1 / 2d) at index d - 1, one rounding in the key's dtype
@@ -334,12 +329,9 @@ class _Sweep:
             d1 = min(h + 1, d0 + width)
             w = d1 - d0
             block = self._bands(d0, d1)
-            # forward[b, d0 + j] = wide[b, d + j], d = d0 + b, reads column
-            # d + j <= n + d1 - 2, inside the copy: block[b, (d + j) mod n]
             wide[:w, :n] = block
             wide[:w, n : n + d1 - 1] = block[:, : d1 - 1]
-            cand = np.minimum(block, forward[:w, d0 : d0 + n], out=cand_buffer[:w])
-            # cast, then scale: bit for bit the mixed multiply (see above)
+            cand = np.minimum(block, forward[:w, d0 : d0 + n], out=block)
             key = key_buffer[:w]
             np.copyto(key, cand)
             key *= inverse_twice_d[d0 - 1 : d1 - 1]
@@ -364,20 +356,11 @@ class _Sweep:
 
 
 class _EuclideanSweep(_Sweep):
-    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound).
-
-    Squared Euclidean sums reach 3n^2: they are taken in int32 while
-    3n^2 < 2^31 (n <= 26,754), else int64, picked once per knot.
-    """
-
-    def __init__(self, knot: LatticeKnot):
-        super().__init__(knot)
-        self.square_dtype = np.int32 if 3 * self.n**2 < 2**31 else np.int64
+    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound)."""
 
     def _step(self, d: int) -> int:
         self._bands(d, d + 1)
-        dtype = self.square_dtype
-        e2 = int(np.square(self.diff[:, 0], dtype=dtype).sum(axis=0, dtype=dtype).min())
+        e2 = int(np.square(self.diff[:, 0], dtype=np.int64).sum(axis=0).min())
         if 4 * d * d * self.den > self.num * e2:
             self.num, self.den = 4 * d * d, e2
         return math.isqrt(e2)

@@ -62,17 +62,6 @@ def reference_gromov1(knot):
     return knotdist.engine._gromov1_from_vertex_report(knot, reference_vertex_report(knot))
 
 
-def diagonal_points(n):
-    """Distinct points on the main diagonal, each axis spanning exactly n.
-
-    Not a knot, so built unchecked: it puts vertices 0 and n/2 at taxicab
-    distance 3n, which no knot reaches.
-    """
-    i = np.arange(n)
-    c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
-    return _valid_knot(np.stack([c, c, c], axis=1))
-
-
 def all_pairs(knot):
     """Vertex pairs of the knot; a vertex report below it skipped a band."""
     return knot.n * (knot.n - 1) // 2
@@ -682,9 +671,12 @@ class TestSweepLayout:
 
     @pytest.mark.parametrize("n, dtype", [(10_922, np.int16), (10_924, np.int32)])
     def test_taxicab_sums_of_3n_at_the_int16_bound(self, n, dtype):
-        # vertices 0 and n/2 are 3n apart; an int16 kernel at n = 10,924
-        # would wrap that 32,772
-        knot = diagonal_points(n)
+        # not a knot, so built unchecked: distinct points on the main
+        # diagonal, each axis spanning exactly n, so vertices 0 and n/2 are
+        # 3n apart; an int16 kernel at n = 10,924 would wrap that 32,772
+        i = np.arange(n)
+        c = np.where(i <= n // 2, 2 * i, 2 * (n - i) - 1)
+        knot = _valid_knot(np.stack([c, c, c], axis=1))
         assert np.abs(knot.coords[0] - knot.coords[n // 2]).sum() == 3 * n
         assert knotdist.engine._Sweep(knot).coords.dtype == dtype
         assert [row.value for row in heatmap(knot)] == reference_heatmap_rows(knot)
@@ -729,24 +721,6 @@ class TestEuclideanBound:
                 diff = c - np.roll(c, d, axis=0)
                 e2 = int((diff * diff).sum(axis=1).min())
                 assert m * m <= e2 < (m + 1) ** 2, (knot, d)
-
-    # squared sums reach 3n^2: int32 while 3n^2 < 2^31, that is n <= 26,754
-    @pytest.mark.parametrize("n, dtype", [(26_754, np.int32), (26_756, np.int64)])
-    def test_squared_sums_of_3n2_at_the_int32_bound(self, n, dtype):
-        # vertices 0 and n/2 are n apart on every axis, so band n/2 holds a
-        # squared distance of 3n^2, which an int32 sum at n = 26,756 would wrap
-        knot = diagonal_points(n)
-        sweep = knotdist.engine._EuclideanSweep(knot)
-        assert sweep.square_dtype == dtype
-        sweep._refine()
-        points = knot.coords.tolist()
-        for d in (1, 2, n // 4, n // 2 - 1, n // 2):
-            # any band beats a running maximum of 0, which then holds its e2
-            sweep.num, sweep.den = 0, 1
-            m = sweep._step(d)
-            want = min(sum((a - b) ** 2 for a, b in zip(points[j], points[j - d]))
-                       for j in range(n))
-            assert (sweep.den, m) == (want, math.isqrt(want)), d
 
     @pytest.mark.parametrize("knot, most", [(rectangle(2500, 2500), 60),
                                             (torus_knot(2, 3, 40), 80)])
