@@ -28,11 +28,12 @@ few dozen.  The Euclidean bound runs the same branch and bound on the
 floors of its band minima (see euclidean_vertex_lower_bound).
 
 Only the heatmap's row sweep visits every band, and it computes only
-the per-row maxima.  It takes max(1, BLOCK_ELEMENTS // n) contiguous
-bands per kernel call, in any order, so that on knots of a few thousand
-edges the per-call overhead of numpy, not the arithmetic, stops setting
-its time; one selection pass per block keeps each row's best ratio by a
-float key, float32 when n^2 < 2^22, else float64 (see _Sweep._sweep_rows).
+the per-row maxima.  It takes min(h, max(1, BLOCK_ELEMENTS // n))
+contiguous bands per kernel call, in any order, so that on knots of a
+few thousand edges the per-call overhead of numpy, not the arithmetic,
+stops setting its time; one selection pass per block keeps each row's
+best ratio by a float key, float32 when n^2 < 2^22, else float64 (see
+_Sweep._sweep_rows).
 A LatticeKnot is valid by construction, so shifted coordinates lie in
 [0, n] and taxicab sums are at most 3n: the kernel runs in int16 when
 3n < 2^15, else int32, picked once per knot.  3n >= 2^31 is refused.
@@ -54,7 +55,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import LatticeKnot, LatticePoint, _axis_extremes
 from .metrics import taxicab_doubled
@@ -65,7 +66,7 @@ WitnessPair = tuple[LatticePoint, LatticePoint]
 # when 3n < 2^15, else int32; one kernel.
 MAX_SWEEP_EDGES = (2**31 - 1) // 3
 # Distances one row-sweep kernel call evaluates: a block of
-# max(1, BLOCK_ELEMENTS // n) contiguous bands.
+# min(h, max(1, BLOCK_ELEMENTS // n)) contiguous bands, h = n // 2.
 BLOCK_ELEMENTS = 2**15
 # Most edges the row sweep takes: n^2 < 2^51 (see _Sweep._sweep_rows).
 MAX_HEATMAP_EDGES = math.isqrt(2**51 - 1)
@@ -208,7 +209,7 @@ class _Sweep:
         diff = self.diff[:, : d1 - d0]
         np.subtract(self.coords[:, None, :n], self.windows[:, n - d0 : n - d1 : -1], out=diff)
         np.abs(diff, out=diff)
-        dist = np.add(diff[0], diff[1], out=self.dist[: d1 - d0, :n])
+        dist = np.add(diff[0], diff[1], out=self.dist[: d1 - d0])
         return np.add(dist, diff[2], out=dist)
 
     # -- drivers ------------------------------------------------------------
@@ -294,11 +295,11 @@ class _Sweep:
         the end 2d = rint(c / key) in float64, off by at most n 2^-22 < 1/2.
 
         Every pass reads contiguous operands.  The kernel writes each block
-        into the contiguous (width, n) dist.  A doubled copy, wide, repeats
-        each row's first d1 - 1 distances after it, and one strided view
-        made before the loop, forward[b, k] = wide[b, b + k], hands each
-        block its partners' distances as forward[:w, d0 : d0 + n]: band
-        d = d0 + b reads column d + j <= n + d1 - 2 of wide.  The key
+        into the contiguous (width, n) dist.  A copy, wide, doubles each
+        row as _Sweep doubles the coordinates, as far as a block reads it:
+        its first d1 - 1 distances repeat after it.  One window view made
+        before the loop, forward[b, k] = wide[b, b + k], hands each block
+        its partners' distances as forward[:w, d0 : d0 + n].  The key
         is c cast to the key's dtype, then scaled in place by fl(1 / 2d): c
         <= 3n is exact in float32 and float64, so this rounds c * fl(1 / 2d)
         once, bit for bit as a mixed int-by-float multiply would.
@@ -309,16 +310,9 @@ class _Sweep:
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
         self.dist = np.empty((width, n), dtype=dtype)
-        # wide holds each block doubled like the coordinates, so a row can
-        # read its distance at j + d
         wide = np.empty((width, 2 * n), dtype=dtype)
-        # forward[b, k] = wide[b, b + k], at flat offset b (2n + 1) + k, so
-        # long as b + k < 2n; as_strided checks no bounds, but b < width <= h
-        # and k < n + h give b + k <= n + 2h - 2 < 2n: every element,
-        # the last at (width - 1)(2n + 1) + n + h - 1, lies in its row of wide
-        item = wide.itemsize
-        forward = as_strided(wide.reshape(-1), shape=(width, n + h),
-                             strides=((2 * n + 1) * item, item), writeable=False)
+        # every (2n + 1)-th window of the flat wide: width rows, as width <= h + 1
+        forward = sliding_window_view(wide.reshape(-1), n + h)[:: 2 * n + 1]
         key_buffer = np.empty((width, n), dtype=np.float32 if n * n < 2**22 else np.float64)
         hit_buffer = np.empty((width, n), dtype=bool)
         # fl(1 / 2d) at index d - 1, one rounding in the key's dtype

@@ -849,10 +849,10 @@ class TestBlockedSweep:
 
     def test_kernel_blocks_are_contiguous_and_one_view_per_sweep(self, monkeypatch, trefoil):
         # a block written into strided rows halves the speed of the kernel's
-        # adds, and a strided view made per block adds Python per block;
-        # neither changes a result, so only this test sees them
+        # adds, and a view made per block adds Python per block; neither
+        # changes a result, so only this test sees them
         contiguous, views = [], []
-        bands, view = knotdist.engine._Sweep._bands, knotdist.engine.as_strided
+        bands, view = knotdist.engine._Sweep._bands, knotdist.engine.sliding_window_view
 
         def spy(sweep, d0, d1):
             block = bands(sweep, d0, d1)
@@ -860,7 +860,7 @@ class TestBlockedSweep:
             return block
 
         monkeypatch.setattr(knotdist.engine._Sweep, "_bands", spy)
-        monkeypatch.setattr(knotdist.engine, "as_strided",
+        monkeypatch.setattr(knotdist.engine, "sliding_window_view",
                             lambda *args, **kwargs: views.append(1) or view(*args, **kwargs))
         for knot in (trefoil, random_polygon(2000, 0), rectangle(1, 4999)):
             for run in (heatmap, vertex_distortion_with_heatmap):
@@ -868,7 +868,8 @@ class TestBlockedSweep:
                 views.clear()
                 run(knot)
                 assert contiguous and all(contiguous), (knot, run)
-                assert len(views) == 1, (knot, run)
+                # the kernel's coordinate windows and the row sweep's forward view
+                assert len(views) == 2, (knot, run)
 
     def test_heatmap_rows_across_block_boundaries(self, monkeypatch, small_corpus):
         for knot in block_knots(small_corpus):

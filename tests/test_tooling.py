@@ -38,6 +38,22 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_unchecked_strided_views_in_the_package():
+    # as_strided checks no bounds, so a wrong shape or stride reads outside
+    # its buffer without an error; sliding_window_view gives such views checked
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "as_strided")
+            or (isinstance(node, ast.Attribute) and node.attr == "as_strided")
+            or (isinstance(node, ast.alias) and node.name == "as_strided")
+        ]
+    assert found == []
+
+
 def test_every_cli_option_has_a_golden_case():
     # the golden digests pin the CLI's bytes only for the options they run
     golden = {arg for argv in cases() for arg in argv}
