@@ -1,9 +1,9 @@
 """knotdist: exact distortion invariants of lattice knots.
 
 Vertex distortion with complete witness sets, the curve-wide taxicab
-distortion over vertices and midpoints, midpoint pair structure, unknot
-certificates, conformation generators and a knot file format, all in
-exact integer and rational arithmetic.
+distortion over vertices and midpoints, unknot certificates, heatmaps,
+conformation generators and a knot file format, all in exact integer
+and rational arithmetic.
 """
 
 from .engine import (
@@ -37,8 +37,6 @@ from .knotfile import (
     serialize_vertices,
 )
 from .lattice import (
-    Axis,
-    Edge,
     InvalidKnotError,
     Isometry,
     LatticeKnot,
@@ -46,7 +44,6 @@ from .lattice import (
     ValidationResult,
     Violation,
     lattice_isometries,
-    midpoints,
     scale,
     transform,
     validate,
@@ -66,21 +63,15 @@ from .midpoint_analysis import (
     THRESHOLD_LOW,
     UNKNOT_CERTIFIED,
     Certificate,
-    MidpointPairClass,
     certify_unknot,
-    classify_pair,
-    dominating_vertex_pair,
-    neighbors,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArcPosition",
-    "Axis",
     "Certificate",
     "DistortionReport",
-    "Edge",
     "GeneratorError",
     "Heatmap",
     "HeatmapRow",
@@ -90,7 +81,6 @@ __all__ = [
     "KnotFileError",
     "LatticeKnot",
     "LatticePoint",
-    "MidpointPairClass",
     "NotOnKnotError",
     "THRESHOLD_HIGH",
     "THRESHOLD_LOW",
@@ -101,9 +91,7 @@ __all__ = [
     "arc_position",
     "brute_force_vm_distortion",
     "certify_unknot",
-    "classify_pair",
     "distortion_ratio",
-    "dominating_vertex_pair",
     "euclidean_ratio_squared",
     "euclidean_vertex_lower_bound",
     "exhaustive_small",
@@ -112,9 +100,7 @@ __all__ = [
     "knot_from_moves",
     "lattice_isometries",
     "load_knot",
-    "midpoints",
     "move_string",
-    "neighbors",
     "parse_knot",
     "parse_vertices",
     "random_polygon",

@@ -202,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    # KnotFileError, InvalidKnotError and NotOnKnotError are ValueErrors
+    # KnotFileError, InvalidKnotError and the library's argument refusals are ValueErrors
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

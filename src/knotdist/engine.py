@@ -39,9 +39,10 @@ A LatticeKnot is valid by construction, so shifted coordinates lie in
 3n < 2^15, else int32, picked once per knot.  3n >= 2^31 is refused.
 
 The curve-wide maximum over vertices and midpoints extends a finished
-vertex sweep: by the midpoint pair structure only antipodal midpoint
-pairs can beat the vertex maximum, so it needs one pass over those n/2
-pairs and a check of the neighbours of each vertex witness.  Its points
+vertex sweep: by the midpoint pair lemma (see gromov1_distortion) only
+antipodal midpoint pairs can beat the vertex maximum, so it needs one
+pass over those n/2 pairs and a check of the neighbours of each vertex
+witness.  Its points
 are arc offsets in the convention of the lattice module docstring.
 """
 
@@ -288,11 +289,12 @@ class _Sweep:
         distinct inverse ratios c / 2d in (0, 1] differ by at least 1/n^2,
         while two roundings move a key by at most 2u (1 + u/2): u = 2^-24 in
         float32, taken when n^2 < 2^22, else 2^-53 in float64, while
-        n^2 < 2^51.  So a larger ratio has a smaller key, and equal keys mean
-        equal ratios (equal ratios may get keys an ulp apart; a row keeps
-        either).  One pass per block marks the bands at each row's least
-        key and keeps the largest c among them, in the kernel's dtype.  At
-        the end 2d = rint(c / key) in float64, off by at most n 2^-22 < 1/2.
+        n^2 < 2^51, as _heatmap_sweep checks.  So a larger ratio has a
+        smaller key, and equal keys mean equal ratios (equal ratios may get
+        keys an ulp apart; a row keeps either).  One pass per block marks
+        the bands at each row's least key and keeps the largest c among
+        them, in the kernel's dtype.  At the end 2d = rint(c / key) in
+        float64, off by at most n 2^-22 < 1/2.
 
         Every pass reads contiguous operands.  The kernel writes each block
         into the contiguous (width, n) dist.  A copy, wide, doubles each
@@ -305,8 +307,6 @@ class _Sweep:
         once, bit for bit as a mixed int-by-float multiply would.
         """
         n, h, dtype = self.n, self.n // 2, self.coords.dtype
-        if n > MAX_HEATMAP_EDGES:
-            raise ValueError(f"knot has {n} edges; the heatmap takes at most {MAX_HEATMAP_EDGES}")
         width = min(h, max(1, BLOCK_ELEMENTS // n))
         self.diff = np.empty((3, width, n), dtype=dtype)
         self.dist = np.empty((width, n), dtype=dtype)
@@ -375,16 +375,24 @@ def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
     return sweep.report()
 
 
+def _heatmap_sweep(knot: LatticeKnot) -> _Sweep:
+    """A _Sweep for the row sweep; a knot past MAX_HEATMAP_EDGES is refused
+    before any band is evaluated."""
+    if knot.n > MAX_HEATMAP_EDGES:
+        raise ValueError(f"knot has {knot.n} edges; the heatmap takes at most {MAX_HEATMAP_EDGES}")
+    return _Sweep(knot)
+
+
 def vertex_distortion_with_heatmap(knot: LatticeKnot) -> tuple[DistortionReport, Heatmap]:
     """vertex_distortion(knot), equal in every field, and heatmap(knot) from one _Sweep."""
-    sweep = _Sweep(knot)
+    sweep = _heatmap_sweep(knot)
     sweep._refine()
     return sweep.report(), sweep._sweep_rows()
 
 
 def heatmap(knot: LatticeKnot) -> Heatmap:
     """For each vertex, the maximum ratio against every other vertex."""
-    return _Sweep(knot)._sweep_rows()
+    return _heatmap_sweep(knot)._sweep_rows()
 
 
 def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:
@@ -408,9 +416,9 @@ def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:
     vertices, or both to their end vertices, keeps A and D when the edges
     run the same way.  When they run opposite ways and A < n (so A <= n - 2,
     both offsets being odd), moving both one way in space gains 2 in arc at
-    equal D.  Only antipodal midpoints on opposed edges escape: the
-    exceptional pairs of midpoint_analysis.  Hence M is the larger of the
-    vertex distortion and the best of the n/2 antipodal midpoint pairs.
+    equal D.  Only antipodal midpoints on opposed edges escape, as
+    tests/test_midpoints.py checks pair by pair.  Hence M is the larger of
+    the vertex distortion and the best of the n/2 antipodal midpoint pairs.
     Ties: every witness at M is an antipodal midpoint pair, a vertex
     witness (v_i, v_j), or a midpoint pair tying with one, which lies in
     {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}; all those pairs are checked.

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -36,12 +35,6 @@ _TRUE_LIMIT = COORD_LIMIT // 2
 UNIT_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
-class Axis(IntEnum):
-    X = 0
-    Y = 1
-    Z = 2
-
-
 class LatticePoint(NamedTuple):
     """A point of the cubic lattice in doubled coordinates."""
 
@@ -53,20 +46,6 @@ class LatticePoint(NamedTuple):
     def vertex(cls, x: int, y: int, z: int = 0) -> "LatticePoint":
         """Build a lattice vertex from true integer coordinates."""
         return cls(2 * x, 2 * y, 2 * z)
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.x % 2 == 0 and self.y % 2 == 0 and self.z % 2 == 0
-
-    @property
-    def is_midpoint(self) -> bool:
-        return (self.x % 2 + self.y % 2 + self.z % 2) == 1
-
-    @property
-    def odd_axis(self) -> Optional[Axis]:
-        """Axis of the single half-integer coordinate, None for vertices."""
-        odd = [a for a in Axis if self[a] % 2]
-        return odd[0] if len(odd) == 1 else None
 
     def as_true(self) -> tuple:
         """True coordinates: ints where integral, exact Fraction halves
@@ -83,16 +62,6 @@ def _true_text(c: int) -> str:
     if c % 2 == 0:
         return str(c // 2)
     return f"{'-' if c < 0 else ''}{abs(c) // 2}.5"
-
-
-class Edge(NamedTuple):
-    """Unit segment between consecutive vertices of a knot."""
-
-    index: int
-    start: LatticePoint
-    end: LatticePoint
-    axis: Axis
-    midpoint: LatticePoint
 
 
 class Violation(NamedTuple):
@@ -227,14 +196,14 @@ class LatticeKnot:
     """Ordered cyclic vertex sequence of a lattice knot, doubled coordinates.
 
     Its only state is `coords`, the read-only (n, 3) int64 array of the
-    doubled vertices in cyclic order; the points derived from it
-    (`vertices`, `edges`, the lookup tables) are built and cached on first
-    use.  Instances are immutable and hashable, and equal when their
-    arrays are.  Every instance is a valid lattice knot: LatticeKnot(x),
-    for a sequence of LatticePoints or an (n, 3) array of doubled
-    coordinates, is from_true(x // 2), validated once and copied, and
-    raises OverflowError outside int64 and ValueError on non-integers
-    and on an odd coordinate.
+    doubled vertices in cyclic order, edge i running from row i to row
+    (i + 1) % n.  The points derived from it, `vertices` and
+    `offset_table`, are built and cached on first use.  Instances are
+    immutable and hashable, and equal when their arrays are.  Every
+    instance is a valid lattice knot: LatticeKnot(x), for a sequence of
+    LatticePoints or an (n, 3) array of doubled coordinates, is
+    from_true(x // 2), validated once and copied, and raises OverflowError
+    outside int64 and ValueError on non-integers and on an odd coordinate.
     """
 
     coords: np.ndarray
@@ -293,16 +262,6 @@ class LatticeKnot:
         return _points(self.coords)
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        n, vs = self.n, self.vertices
-        # the axis of an edge is the one its step moves along
-        moved = np.roll(self.coords, -1, axis=0) != self.coords
-        axes = map(tuple(Axis).__getitem__, np.argmax(moved, axis=1).tolist())
-        mids = _points(self.coords_at(2 * np.arange(n) + 1))
-        rows = zip(range(n), vs, vs[1:] + vs[:1], axes, mids)
-        return tuple(map(tuple.__new__, itertools.repeat(Edge), rows))
-
-    @cached_property
     def offset_table(self) -> dict[LatticePoint, int]:
         """Point -> doubled arc offset, over vertices and then midpoints."""
         offsets = np.concatenate([np.arange(0, 2 * self.n, 2), np.arange(1, 2 * self.n, 2)])
@@ -322,11 +281,6 @@ def _valid_knot(coords: np.ndarray) -> LatticeKnot:
     knot = object.__new__(LatticeKnot)
     object.__setattr__(knot, "coords", coords)
     return knot
-
-
-def midpoints(knot: LatticeKnot) -> tuple[LatticePoint, ...]:
-    """Edge midpoints in cyclic order, one per edge."""
-    return tuple(e.midpoint for e in knot.edges)
 
 
 def scale(knot: LatticeKnot, m: int) -> LatticeKnot:

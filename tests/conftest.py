@@ -5,6 +5,8 @@ coordinates with plain loops and Fractions; they share no code with the
 banded engine they are used to check.  The one exception is
 reference_vertex_report, the exhaustive vertex report read off the
 engine's heatmap rows, which the tests check against reference_row_maxima.
+The midpoint pair oracle is not a reference: it states a lemma through
+the package's offset_table and metric functions.
 """
 
 import json
@@ -16,18 +18,18 @@ import numpy as np
 import pytest
 
 from knotdist import (
-    Axis,
     DistortionReport,
-    Edge,
     KnotFileError,
     LatticeKnot,
     LatticePoint,
     ValidationResult,
     Violation,
+    distortion_ratio,
     heatmap,
     lattice_isometries,
     random_polygon,
     rectangle,
+    taxicab_distance,
     torus_knot,
 )
 from knotdist.engine import _Sweep
@@ -231,34 +233,67 @@ def reference_parse_knot(text):
     return LatticeKnot(tuple(LatticePoint.vertex(*v) for v in vertices))
 
 
-def reference_edges(knot):
-    """The knot's edges, built one vertex at a time as LatticeKnot.edges
-    was before it read whole arrays."""
-    vs = [LatticePoint(*v) for v in knot.coords.tolist()]
-    n = len(vs)
-    out = []
-    for i, a in enumerate(vs):
-        b = vs[(i + 1) % n]
-        axis = next(ax for ax in Axis if a[ax] != b[ax])
-        mid = LatticePoint(*((a[k] + b[k]) // 2 for k in range(3)))
-        out.append(Edge(i, a, b, axis, mid))
-    return tuple(out)
-
-
 def reference_offset_table(knot):
-    """Point -> doubled arc offset, vertices first, then midpoints."""
-    edges = reference_edges(knot)
-    table = {}
-    for e in edges:
-        table[e.start] = 2 * e.index
-    for e in edges:
-        table[e.midpoint] = 2 * e.index + 1
+    """Point -> doubled arc offset, vertices first, then midpoints, built
+    one vertex at a time."""
+    vs = [LatticePoint(*v) for v in knot.coords.tolist()]
+    table = {v: 2 * i for i, v in enumerate(vs)}
+    for i, a in enumerate(vs):
+        b = vs[(i + 1) % len(vs)]
+        table[LatticePoint(*((a[k] + b[k]) // 2 for k in range(3)))] = 2 * i + 1
     return table
 
 
-def reference_edge_of_midpoint(knot):
-    """Midpoint -> its edge, the table LatticeKnot.edge_of_midpoint was."""
-    return {e.midpoint: e for e in reference_edges(knot)}
+# The midpoint pair lemma, point by point: only antipodal, non-generic
+# midpoint pairs on opposed edges can beat the vertex maximum.
+
+
+def midpoint_points(knot):
+    """The edge midpoints as points, in cyclic order."""
+    return [LatticePoint(*m) for m in knot.coords_at(2 * np.arange(knot.n) + 1).tolist()]
+
+
+def edge_ends(knot, p):
+    """The points that stand in for p: p itself for a vertex, and for a
+    midpoint the two ends of its edge, in cyclic order."""
+    off = knot.offset_table[p]
+    if off % 2 == 0:
+        return (p,)
+    return knot.vertices[off // 2], knot.vertices[(off // 2 + 1) % knot.n]
+
+
+def classify_pair(knot, p, q):
+    """(generic, antipodal, opposed) for two distinct midpoints p and q.
+
+    The pair is generic when moving one point to either end of its edge
+    changes its taxicab distance to the other unequally.  Opposed edges
+    are parallel and run in opposite directions.  A non-generic pair is
+    asserted to lie on parallel edges, to share their half-integer
+    coordinate and to have all four end distances equal to its own plus 1/2.
+    """
+    ends = edge_ends(knot, p) + edge_ends(knot, q)
+    assert len(ends) == 4 and p != q, "classify_pair takes two distinct midpoints"
+    a, b, c, d = ends
+    to_ends = [taxicab_distance(*pair) for pair in ((p, c), (p, d), (a, q), (b, q))]
+    generic = to_ends[0] != to_ends[1] or to_ends[2] != to_ends[3]
+    antipodal = abs(knot.offset_table[p] - knot.offset_table[q]) == knot.n
+    step_p = [y - x for x, y in zip(a, b)]
+    step_q = [y - x for x, y in zip(c, d)]
+    if not generic:
+        axis = next(k for k in range(3) if step_p[k])
+        assert step_q[axis], "non-generic midpoints lie on parallel edges"
+        assert p[axis] == q[axis], "non-generic midpoints share the half-integer coordinate"
+        assert to_ends == [taxicab_distance(p, q) + Fraction(1, 2)] * 4
+    return generic, antipodal, step_p == [-s for s in step_q]
+
+
+def dominating_vertex_pair(knot, p, q):
+    """The pair of greatest ratio among the edge_ends of p and of q, when
+    that ratio reaches the ratio of (p, q); else None, which the lemma
+    allows only for antipodal non-generic midpoint pairs."""
+    pairs = [(a, b) for a in edge_ends(knot, p) for b in edge_ends(knot, q)]
+    ratio, a, b = max(((distortion_ratio(knot, a, b), a, b) for a, b in pairs), key=lambda t: t[0])
+    return (a, b) if ratio >= distortion_ratio(knot, p, q) else None
 
 
 def reference_row_maxima(knot):

@@ -20,9 +20,7 @@ from knotdist import (
     THRESHOLD_LOW,
     KnotFileError,
     brute_force_vm_distortion,
-    classify_pair,
     distortion_ratio,
-    dominating_vertex_pair,
     euclidean_vertex_lower_bound,
     exhaustive_small,
     lattice_isometries,
@@ -37,6 +35,7 @@ from knotdist import (
     vertex_distortion_with_heatmap,
 )
 from knotdist.report import ratio_doc, witness_docs
+from conftest import classify_pair, dominating_vertex_pair
 from conftest import reference_vertex_distortion, reference_vertex_report
 
 
@@ -164,12 +163,12 @@ def test_criterion_08_midpoint_structure(corpus, deltas):
                 continue
             delta = deltas[name]
             pts = sorted(knot.offset_table.items(), key=lambda kv: kv[1])
-            for (p, _), (q, _) in itertools.combinations(pts, 2):
+            for (p, op), (q, oq) in itertools.combinations(pts, 2):
                 checked_pairs += 1
                 exceptional = False
-                if p.is_midpoint and q.is_midpoint:
-                    cls = classify_pair(knot, p, q)
-                    exceptional = cls.antipodal and not cls.generic
+                if op % 2 and oq % 2:
+                    generic, antipodal, _ = classify_pair(knot, p, q)
+                    exceptional = antipodal and not generic
                 dominated = dominating_vertex_pair(knot, p, q)
                 if distortion_ratio(knot, p, q) > delta:
                     assert exceptional, (name, p, q)

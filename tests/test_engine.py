@@ -379,6 +379,13 @@ class TestGromov1:
                               (reference_gromov1(knot), reference_vertex_report)):
                 assert (g1.delta, g1.witnesses) == doubled_vm_distortion(knot, sweep), knot
 
+    def test_whole_curve_at_eighth_edge_parameters(self, small_corpus, trefoil):
+        # gromov1 is the maximum over the whole curve, not only over vertices
+        # and midpoints: the points at edge parameters k/8 are the vertices of
+        # the knot scaled by 8, which keeps every arc/taxicab ratio
+        for knot in small_corpus + [trefoil]:
+            assert max(reference_row_maxima(scale(knot, 8))) == gromov1_distortion(knot).delta
+
     def test_never_scales(self, monkeypatch, trefoil):
         def refuse(*args, **kwargs):
             raise AssertionError("gromov1_distortion must not build the doubled knot")
@@ -599,7 +606,7 @@ class TestSweepLayout:
         monkeypatch.setattr(knotdist.engine, "MAX_SWEEP_EDGES", knot.n)
         assert vertex_distortion(knot).delta == Fraction(5, 3)
 
-    def test_float64_key_bound(self, monkeypatch):
+    def test_float64_key_bound(self, monkeypatch, band_log):
         # the row sweep's float64 keys order distinct ratios exactly while n^2 < 2^51
         limit = knotdist.engine.MAX_HEATMAP_EDGES
         assert limit**2 < 2**51 <= (limit + 1) ** 2
@@ -609,6 +616,8 @@ class TestSweepLayout:
                     lambda k: build_report(k, with_heatmap=True)):
             with pytest.raises(ValueError, match="knot has 12 edges; the heatmap takes at most 11"):
                 run(knot)
+        # refused before the branch and bound evaluates any band
+        assert band_log == []
         assert vertex_distortion(knot).delta == Fraction(5, 3)
         monkeypatch.setattr(knotdist.engine, "MAX_HEATMAP_EDGES", knot.n)
         assert [row.value for row in heatmap(knot)] == reference_row_maxima(knot)

@@ -310,9 +310,8 @@ def canonical_moves_of(knot):
     from knotdist.generators import _STEPS
 
     moves = []
-    for e in knot.edges:
-        step = tuple((e.end[k] - e.start[k]) // 2 for k in range(3))
-        moves.append(_STEPS.index(step))
+    for a, b in zip(knot.coords, np.roll(knot.coords, -1, axis=0)):
+        moves.append(_STEPS.index(tuple(((b - a) // 2).tolist())))
     return canonical_moves(tuple(moves))
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import knotdist.lattice
 from knotdist import (
-    Axis,
     InvalidKnotError,
     Isometry,
     LatticeKnot,
@@ -20,7 +19,6 @@ from knotdist import (
     heatmap,
     lattice_isometries,
     parse_knot,
-    midpoints,
     random_polygon,
     rectangle,
     scale,
@@ -33,8 +31,7 @@ from knotdist import (
 from knotdist.engine import _gromov1_from_vertex_report
 from knotdist.report import build_report
 from conftest import (
-    reference_edge_of_midpoint,
-    reference_edges,
+    midpoint_points,
     reference_offset_table,
     reference_validate,
     reference_vertex_report,
@@ -345,13 +342,12 @@ class TestCoords:
 class TestParity:
     def test_vertices_all_even(self, small_corpus):
         for knot in small_corpus:
-            assert all(v.is_vertex for v in knot.vertices)
+            assert all(c % 2 == 0 for v in knot.vertices for c in v)
 
     def test_midpoints_exactly_one_odd(self, small_corpus):
         for knot in small_corpus:
-            for m in midpoints(knot):
-                assert m.is_midpoint
-                assert m.odd_axis is not None
+            for m in midpoint_points(knot):
+                assert sum(c % 2 for c in m) == 1
 
     def test_even_edge_count(self, small_corpus):
         for knot in small_corpus:
@@ -360,17 +356,16 @@ class TestParity:
     def test_axis_step_counts_balance(self, small_corpus):
         # closure forces equally many positive and negative edges per axis
         for knot in small_corpus:
-            for axis in Axis:
-                steps = [e.end[axis] - e.start[axis] for e in knot.edges]
+            for steps in (np.roll(knot.coords, -1, axis=0) - knot.coords).T.tolist():
                 assert sum(steps) == 0
                 assert steps.count(2) == steps.count(-2)
 
     def test_signed_moves_sum_to_zero(self, small_corpus):
         for knot in small_corpus:
             total = [0, 0, 0]
-            for e in knot.edges:
+            for a, b in zip(knot.vertices, knot.vertices[1:] + knot.vertices[:1]):
                 for k in range(3):
-                    total[k] += e.end[k] - e.start[k]
+                    total[k] += b[k] - a[k]
             assert total == [0, 0, 0]
 
 
@@ -545,7 +540,7 @@ class TestScale:
 
 class TestMidpoints:
     def test_unit_square_midpoints(self, unit_square):
-        got = {m.as_true() for m in midpoints(unit_square)}
+        got = {m.as_true() for m in midpoint_points(unit_square)}
         assert got == {(0.5, 0, 0), (1, 0.5, 0), (0.5, 1, 0), (0, 0.5, 0)}
 
     def test_far_halves_are_exact(self):
@@ -556,7 +551,7 @@ class TestMidpoints:
 
     def test_count_equals_edges(self, small_corpus):
         for knot in small_corpus:
-            assert len(midpoints(knot)) == knot.n
+            assert len(set(midpoint_points(knot))) == knot.n
             assert len(knot.offset_table) == 2 * knot.n
 
     def test_doubling_sends_midpoints_to_odd_vertices(self, small_corpus):
@@ -568,7 +563,7 @@ class TestMidpoints:
                 v for v in doubled.true_vertices() if any(c % 2 for c in v)
             }
             images = {
-                tuple(c for c in m) for m in midpoints(knot)
+                tuple(c for c in m) for m in midpoint_points(knot)
             }  # doubled coords of K are true coords of 2K
             assert odd_vertices == images
 
@@ -583,17 +578,10 @@ def point_table_knots(small_corpus):
 class TestPointTables:
     def test_match_the_per_vertex_builders(self, small_corpus):
         for knot in point_table_knots(small_corpus):
-            edges = reference_edges(knot)
-            assert knot.edges == edges
-            assert [type(f) for e in knot.edges for f in e] == [type(f) for e in edges for f in e]
             table = reference_offset_table(knot)
             assert list(knot.offset_table.items()) == list(table.items())
             located = knot.coords_at(np.arange(2 * knot.n)).tolist()
             assert [table[LatticePoint(*p)] for p in located] == list(range(2 * knot.n))
-            assert midpoints(knot) == tuple(e.midpoint for e in edges)
-            assert {
-                m: knot.edges[knot.offset_table[m] // 2] for m in midpoints(knot)
-            } == reference_edge_of_midpoint(knot)
 
 
 class TestIsometries:

@@ -1,26 +1,24 @@
-"""Midpoint pair classification, dominating pairs, certificates."""
+"""The midpoint pair lemma, through the conftest oracle, and certificates."""
 
 import itertools
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from knotdist import (
     THRESHOLD_HIGH,
     THRESHOLD_LOW,
+    DistortionReport,
     LatticePoint,
-    NotOnKnotError,
+    arc_distance,
     certify_unknot,
-    classify_pair,
     distortion_ratio,
-    dominating_vertex_pair,
     gromov1_distortion,
-    midpoints,
-    neighbors,
     rectangle,
+    taxicab_distance,
     vertex_distortion,
 )
+from conftest import classify_pair, dominating_vertex_pair, edge_ends, midpoint_points
 
 SQ_MID_BOTTOM = LatticePoint(1, 0, 0)   # (0.5, 0, 0)
 SQ_MID_RIGHT = LatticePoint(2, 1, 0)    # (1, 0.5, 0)
@@ -30,75 +28,52 @@ SQ_MID_LEFT = LatticePoint(0, 1, 0)     # (0, 0.5, 0)
 
 class TestNeighbors:
     def test_unit_square_bottom_edge(self, unit_square):
-        assert neighbors(unit_square, SQ_MID_BOTTOM) == (
+        assert edge_ends(unit_square, SQ_MID_BOTTOM) == (
             LatticePoint.vertex(0, 0, 0),
             LatticePoint.vertex(1, 0, 0),
         )
 
     def test_neighbor_distances(self, small_corpus):
-        from knotdist import arc_distance, taxicab_distance
-
         for knot in small_corpus:
-            for m in midpoints(knot)[:6]:
-                for nb in neighbors(knot, m):
+            for m in midpoint_points(knot)[:6]:
+                for nb in edge_ends(knot, m):
                     assert taxicab_distance(m, nb) == Fraction(1, 2)
                     assert arc_distance(knot, m, nb) == Fraction(1, 2)
 
     def test_neighbors_follow_edges(self, small_corpus):
         for knot in small_corpus:
-            mids = midpoints(knot)
-            for i, m in enumerate(mids):
-                assert neighbors(knot, m) == (
+            for i, m in enumerate(midpoint_points(knot)):
+                assert edge_ends(knot, m) == (
                     knot.vertices[i],
                     knot.vertices[(i + 1) % knot.n],
                 )
 
-    def test_vertex_and_point_off_the_knot_rejected(self, unit_square):
-        for p in (LatticePoint.vertex(0, 0, 0), LatticePoint(1, 0, 2)):
-            with pytest.raises(NotOnKnotError, match="is not a midpoint of this knot"):
-                neighbors(unit_square, p)
-
 
 class TestClassifyPair:
     def test_opposite_vertical_midpoints_non_generic(self, unit_square):
-        cls = classify_pair(unit_square, SQ_MID_LEFT, SQ_MID_RIGHT)
-        assert not cls.generic
-        assert cls.antipodal
-        assert cls.parallel_edges
-        assert cls.shared_fractional_axis is not None
+        generic, antipodal, opposed = classify_pair(unit_square, SQ_MID_LEFT, SQ_MID_RIGHT)
+        assert not generic
+        assert antipodal
+        assert opposed
         # this is the configuration whose distortion beats the vertex maximum
         assert distortion_ratio(unit_square, SQ_MID_LEFT, SQ_MID_RIGHT) == 2 > 1
 
     def test_perpendicular_midpoints_generic(self, unit_square):
-        cls = classify_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_RIGHT)
-        assert cls.generic
-        assert not cls.parallel_edges
-        assert cls.shared_fractional_axis is None
-
-    def test_identical_pair_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            classify_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_BOTTOM)
-
-    def test_vertex_and_point_off_the_knot_rejected(self, unit_square):
-        for p in (LatticePoint.vertex(0, 0, 0), LatticePoint(1, 0, 2)):
-            for pair in ((p, SQ_MID_TOP), (SQ_MID_TOP, p)):
-                with pytest.raises(NotOnKnotError, match="^both points must be midpoints"):
-                    classify_pair(unit_square, *pair)
+        generic, _, opposed = classify_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_RIGHT)
+        assert generic
+        assert not opposed
 
     def test_non_generic_neighbor_distance_equalities(self, small_corpus):
-        # checked internally by classify_pair's asserts; exercise them broadly
-        from knotdist import taxicab_distance
-
+        # checked inside classify_pair too; here through edge_ends alone
         for knot in small_corpus:
-            mids = midpoints(knot)
-            for p, q in itertools.combinations(mids, 2):
-                cls = classify_pair(knot, p, q)
-                if cls.generic:
+            for p, q in itertools.combinations(midpoint_points(knot), 2):
+                generic, _, _ = classify_pair(knot, p, q)
+                if generic:
                     continue
                 d = taxicab_distance(p, q)
-                for nb in neighbors(knot, q):
+                for nb in edge_ends(knot, q):
                     assert taxicab_distance(p, nb) == d + Fraction(1, 2)
-                for nb in neighbors(knot, p):
+                for nb in edge_ends(knot, p):
                     assert taxicab_distance(nb, q) == d + Fraction(1, 2)
 
 
@@ -106,7 +81,7 @@ class TestDominatingVertexPair:
     def test_vertex_midpoint_always_dominated(self, small_corpus):
         for knot in small_corpus:
             v = knot.vertices[0]
-            for m in midpoints(knot):
+            for m in midpoint_points(knot):
                 got = dominating_vertex_pair(knot, m, v)
                 assert got is not None
                 a, b = got
@@ -116,31 +91,24 @@ class TestDominatingVertexPair:
         assert dominating_vertex_pair(unit_square, SQ_MID_LEFT, SQ_MID_RIGHT) is None
         assert dominating_vertex_pair(unit_square, SQ_MID_BOTTOM, SQ_MID_TOP) is None
 
-    def test_identical_pair_rejected(self, unit_square):
-        for p in (SQ_MID_BOTTOM, unit_square.vertices[0]):
-            with pytest.raises(ValueError, match="two distinct points"):
-                dominating_vertex_pair(unit_square, p, p)
-
     def test_absence_only_for_antipodal_non_generic_midpoints(self, small_corpus):
         for knot in small_corpus:
-            pts = sorted(knot.offset_table.items(), key=lambda kv: kv[1])
-            for (p, _), (q, _) in itertools.combinations(pts, 2):
+            for (p, op), (q, oq) in itertools.combinations(knot.offset_table.items(), 2):
                 if dominating_vertex_pair(knot, p, q) is None:
-                    assert p.is_midpoint and q.is_midpoint
-                    cls = classify_pair(knot, p, q)
-                    assert cls.antipodal and not cls.generic
+                    assert op % 2 and oq % 2
+                    generic, antipodal, _ = classify_pair(knot, p, q)
+                    assert antipodal and not generic
 
     def test_pairs_beating_delta_are_exceptional(self, small_corpus):
         for knot in small_corpus:
             delta = vertex_distortion(knot).delta
-            pts = list(knot.offset_table)
-            for p, q in itertools.combinations(pts, 2):
+            for (p, op), (q, oq) in itertools.combinations(knot.offset_table.items(), 2):
                 if distortion_ratio(knot, p, q) > delta:
-                    assert p.is_midpoint and q.is_midpoint
-                    cls = classify_pair(knot, p, q)
-                    assert cls.antipodal
-                    assert not cls.generic
-                    assert cls.edges_opposed
+                    assert op % 2 and oq % 2
+                    generic, antipodal, opposed = classify_pair(knot, p, q)
+                    assert antipodal
+                    assert not generic
+                    assert opposed
                     assert dominating_vertex_pair(knot, p, q) is None
 
     def test_gromov1_excess_witnesses_are_exceptional(self, small_corpus, trefoil):
@@ -150,9 +118,9 @@ class TestDominatingVertexPair:
                 continue
             assert g1.witnesses
             for p, q in g1.witnesses:
-                assert p.is_midpoint and q.is_midpoint
-                cls = classify_pair(knot, p, q)
-                assert cls.antipodal and not cls.generic and cls.edges_opposed
+                assert knot.offset_table[p] % 2 and knot.offset_table[q] % 2
+                generic, antipodal, opposed = classify_pair(knot, p, q)
+                assert antipodal and not generic and opposed
 
 
 class TestCertificate:
@@ -174,10 +142,8 @@ class TestCertificate:
         assert cert.threshold_exceeded
 
     def test_near_threshold_band(self):
-        from knotdist import DistortionReport
-
         inside = (THRESHOLD_LOW + THRESHOLD_HIGH) / 2
-        cert = certify_unknot(DistortionReport(inside, frozenset(), 0, False))
+        cert = certify_unknot(DistortionReport(inside, frozenset(), 0))
         assert cert.verdict == "inconclusive"
         assert cert.near_threshold
 
