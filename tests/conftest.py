@@ -470,11 +470,16 @@ def witness_true_pairs(report):
 
 
 @pytest.fixture
-def band_log(monkeypatch) -> list[int]:
-    """The bands the branch and bound evaluates from here on, in order."""
+def band_log(monkeypatch) -> list[tuple[int, int]]:
+    """The bands (d, m(d)) the branch and bound evaluates from here on, in order."""
     bands = []
     step = _Sweep._step
-    monkeypatch.setattr(_Sweep, "_step", lambda sweep, d: bands.append(d) or step(sweep, d))
+
+    def logged(sweep, d):
+        bands.append((d, step(sweep, d)))
+        return bands[-1][1]
+
+    monkeypatch.setattr(_Sweep, "_step", logged)
     return bands
 
 

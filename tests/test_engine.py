@@ -185,6 +185,29 @@ def bands_evaluated(knot, rep):
     return (rep.pairs_examined - knot.n // 2) // knot.n + 1
 
 
+def benchmark_bases():
+    """The full bases of the benchmark's three workloads, as generator calls.
+
+    compact_compute, hairpin_certify, then heatmap_report, each in its
+    corpus order; the compact far base is torus_knot(2, 3, 8) moved by
+    2^30 per axis.
+    """
+    compact = ([torus_knot(2, 3, s) for s in range(8, 25, 2)]
+               + [torus_knot(p, q, s) for p, q in ((2, 5), (3, 4), (3, 5)) for s in (6, 10)]
+               + [torus_knot(2, 7, 6)] + [rectangle(a, a) for a in (100, 200, 250, 300, 350, 400)]
+               + [rectangle(150, 450), rectangle(120, 180)]
+               + [transform(torus_knot(2, 3, 8), translate=(2**30,) * 3)])
+    hairpin = ([rectangle(1, k) for k in (999, 1999, 2999, 3999, 4999)]
+               + [random_polygon(n, 0) for n in range(600, 2001, 200)]
+               + [random_polygon(1000, 1), random_polygon(2000, 1)])
+    heat = ([rectangle(a, a) for a in (150, 250, 350, 500)]
+            + [torus_knot(p, q, s) for p, q, s in ((2, 3, 12), (2, 3, 20), (2, 3, 24),
+                                                   (3, 4, 10), (3, 5, 10), (2, 5, 10))]
+            + [rectangle(1, k) for k in (299, 499, 999)]
+            + [random_polygon(1000, 0), random_polygon(2000, 0)])
+    return compact + hairpin + heat
+
+
 @st.composite
 def evaluated_interval(draw):
     """Two bands a < b with minima obeying the Lipschitz and parity rules."""
@@ -301,6 +324,20 @@ class TestRefinement:
             assert bands_evaluated(knot, rep) <= knot.n // 2 - math.ceil(rep.delta) + 1, knot
             skipped = bands_evaluated(knot, rep) < knot.n // 2
             assert (rep.pairs_examined < all_pairs(knot)) == skipped, knot
+
+
+    def test_benchmark_band_record(self, band_log):
+        # one digest over each benchmark base's evaluated bands (d, m(d)) in
+        # order, pairs_examined and sorted index pairs: a rewrite of the
+        # branch and bound must evaluate the same bands in the same order
+        record = []
+        for knot in benchmark_bases():
+            band_log.clear()
+            rep = vertex_distortion(knot)
+            record.append((band_log.copy(), rep.pairs_examined, sorted(rep._index_pairs)))
+        assert len(record) == 55
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+            "d37f8bcd8f1d6dfaae2f50bf8287731c95b02bd1df91cf1203a0160f14c9b546")
 
 
 class TestBruteForceOracle:
