@@ -3,8 +3,10 @@
 Vertex pairs are grouped in bands of constant arc distance: band d pairs
 index i with i - d (mod n), for d = 1 .. h = floor(n/2).  Within a band
 the arc length is fixed, so the band's best ratio is 2d over the band
-minimum m(d) of the taxicab distances (doubled units), and the whole
-band is evaluated with three vectorised integer operations.
+minimum m(d) of the taxicab distances (doubled units).  One kernel,
+_taxicab, evaluates bands with four vectorised integer operations into
+buffers its caller made; the coordinates are stored twice, so the
+partners of a band are one contiguous slice of them.
 
 A report refines over the bands instead of evaluating them all: each
 step moves one end of a pair by one edge, which changes its taxicab
@@ -16,9 +18,12 @@ evaluates the antipodal band h first, with band 0 as a virtual left end
 (m(0) = 0), and keeps the open intervals between evaluated bands in a
 heap ordered by a bound on their bands, the maximum of 2x / lb(x) over
 real x in [a + 1, b - 1], found in closed form.  An interval whose bound
-is strictly below the running maximum is dropped; any other gets the
+is strictly below the running maximum is dropped, when it would be
+pushed or, as the maximum grows, when it is popped; any other gets the
 band at the ceiling of the bound's argmax evaluated and is split there
-(Piyavskii-Shubert branch and bound).  A band that reaches the final
+(Piyavskii-Shubert branch and bound).  A band costs one kernel call on
+its slice, one reduction and the heap step, and the run keeps the
+evaluated bands (d, m(d)) in order.  A band that reaches the final
 maximum has a bound at least that maximum, so it is never dropped: the
 strict test keeps the witness set identical to that of a sweep over
 every band.  Taken highest bound first, every evaluated band other than
@@ -28,7 +33,8 @@ few dozen.  The Euclidean bound runs the same branch and bound on the
 floors of its band minima (see euclidean_vertex_lower_bound).
 
 Only the heatmap's row sweep visits every band, and it computes only
-the per-row maxima.  It takes min(h, max(1, BLOCK_ELEMENTS // n))
+the per-row maxima.  It alone makes window views of the coordinates,
+once per sweep, and takes min(h, max(1, BLOCK_ELEMENTS // n))
 contiguous bands per kernel call, in any order, so that on knots of a
 few thousand edges the per-call overhead of numpy, not the arithmetic,
 stops setting its time; one selection pass per block keeps each row's
@@ -69,8 +75,9 @@ MAX_SWEEP_EDGES = (2**31 - 1) // 3
 # Distances one row-sweep kernel call evaluates: a block of
 # min(h, max(1, BLOCK_ELEMENTS // n)) contiguous bands, h = n // 2.
 BLOCK_ELEMENTS = 2**15
-# Most edges the row sweep takes: n^2 < 2^51 (see _Sweep._sweep_rows).
-MAX_HEATMAP_EDGES = math.isqrt(2**51 - 1)
+# Most edges the row sweep takes, a bound on its O(n^2) time; it keeps
+# n^2 < 2^51, where its float64 keys stay exact (see _Sweep._sweep_rows).
+MAX_HEATMAP_EDGES = 2**15
 
 
 @dataclass(frozen=True)
@@ -143,10 +150,10 @@ def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
     return (a, b) if a <= b else (b, a)
 
 
-def _point_pairs(knot: LatticeKnot, p_off: np.ndarray, q_off: np.ndarray) -> set[WitnessPair]:
-    """The point pairs at doubled arc offsets p_off[k], q_off[k]."""
-    p, q = knot.coords_at(p_off).tolist(), knot.coords_at(q_off).tolist()
-    return {_ordered_pair(LatticePoint(*a), LatticePoint(*b)) for a, b in zip(p, q)}
+def _point_pairs(p: np.ndarray, q: np.ndarray) -> set[WitnessPair]:
+    """The point pairs at doubled coordinates p[k], q[k]."""
+    return {_ordered_pair(LatticePoint(*a), LatticePoint(*b))
+            for a, b in zip(p.tolist(), q.tolist())}
 
 
 def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
@@ -167,11 +174,26 @@ def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
     return t4, max(2 * big_a - t4, 2 * big_b + t4, 4), (t4 + 3) // 4
 
 
-class _Sweep:
-    """The band kernel over the vertex pairs of a knot.
+def _taxicab(base: np.ndarray, partners: np.ndarray, diff: np.ndarray,
+             dist: np.ndarray) -> np.ndarray:
+    """The band kernel: the taxicab distances of base to partners, into dist.
 
-    It holds only the shifted coordinates; its drivers, _refine and
-    _sweep_rows, each set up the state they use.  The shift is by the
+    The drivers build every operand before the call: base and partners
+    from _Sweep's doubled coordinates, diff and dist as buffers made once
+    per run.  diff is left holding the absolute coordinate differences.
+    Every value is at most 3n, in the coordinates' dtype.
+    """
+    np.subtract(base, partners, out=diff)
+    np.abs(diff, out=diff)
+    np.add(diff[0], diff[1], out=dist)
+    return np.add(dist, diff[2], out=dist)
+
+
+class _Sweep:
+    """The shifted coordinates of a knot, which the band kernel reads.
+
+    It holds only the coordinates; its drivers, _refine and _sweep_rows,
+    each set up the buffers and views they use.  The shift is by the
     minimum; a LatticeKnot, a closed unit-step polygon by construction,
     spans at most n per axis (doubled units), so every value lies in
     [0, n] and taxicab sums are at most 3n; the kernel holds them in int16
@@ -179,8 +201,8 @@ class _Sweep:
     keeps the array's dtype and would wrap silently, so each such
     expression notes its bound.  Squared Euclidean sums reach 3 n^2 and
     are taken in int64.  Each of the three coordinate rows is stored
-    twice, so the band partner i - d (mod n) of index i is the window
-    [n - d, 2n - d) of the doubled rows.
+    twice, so the band partners i - d (mod n) of the indices i are the
+    contiguous slice [n - d, 2n - d) of the doubled rows.
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -197,85 +219,70 @@ class _Sweep:
         self.coords = np.empty((3, 2 * n), dtype=dtype)
         self.coords[:, :n] = v - np.array(lo)[:, None]
         self.coords[:, n:] = self.coords[:, :n]
-        # windows[:, k] is coords[:, k : k + n], the partners of band n - k
-        self.windows = sliding_window_view(self.coords, n, axis=1)
-
-    def _bands(self, d0: int, d1: int) -> np.ndarray:
-        """Per-index taxicab distances of bands d0 .. d1 - 1.
-
-        Row b of the (d1 - d0, n) result holds the distance of each index
-        i to i - (d0 + b), in a buffer that the next call overwrites.
-        """
-        n = self.n
-        diff = self.diff[:, : d1 - d0]
-        np.subtract(self.coords[:, None, :n], self.windows[:, n - d0 : n - d1 : -1], out=diff)
-        np.abs(diff, out=diff)
-        dist = np.add(diff[0], diff[1], out=self.dist[: d1 - d0])
-        return np.add(dist, diff[2], out=dist)
 
     # -- drivers ------------------------------------------------------------
 
-    def _step(self, d: int) -> int:
-        """Evaluate band d into the running maximum; return the band minimum.
-
-        A band that beats the maximum replaces the witness index pairs, one
-        that ties it adds its own, so bands may be evaluated in any order.
-        """
-        n = self.n
-        dist = self._bands(d, d + 1)[0]
-        # dist and dmin are at most 3n: int(dist.min()) and dist == dmin are exact
-        dmin = int(dist.min())
-        # the antipodal band meets each of its pairs from both ends
-        self.pairs += n // 2 if 2 * d == n else n
-        lhs, rhs = 2 * d * self.den, self.num * dmin
-        if lhs >= rhs:
-            if lhs > rhs:
-                self.num, self.den = 2 * d, dmin
-                self.index_pairs.clear()
-            for i in np.nonzero(dist == dmin)[0].tolist():
-                j = (i - d) % n
-                self.index_pairs.add((min(i, j), max(i, j)))
-        return dmin
-
-    def _below(self, num: int, den: int) -> bool:
-        """Whether a bound num/den is strictly below the running maximum."""
-        return num * self.den < self.num * den
-
-    def _refine(self) -> None:
+    def _refine(self, squared: bool = False) -> None:
         """Evaluate every band whose bound reaches the running maximum.
 
-        It starts its own state: one band's buffers, the running maximum
-        num/den, its witness index pairs and the pairs examined.  The heap
-        holds open intervals (a, b) of unevaluated bands, highest bound
-        first; band 0 is a virtual end with minimum 0.
+        A band is one kernel call on the contiguous slice of its partners,
+        into a (3, n) and an (n,) buffer made once per run, and one
+        reduction to its value m(d).  The run keeps the evaluated bands in
+        order as self.bands, pairs (d, m(d)), and the maximum of 2d / m(d)
+        as self.num / self.den; report() reads the witnesses off them.  The
+        heap holds open intervals (a, b) of unevaluated bands, highest
+        bound first; band 0 is a virtual end with value 0.  An interval is
+        pushed only if its bound reaches the maximum, and evaluated only if
+        it still does when popped: the maximum only grows, so an interval
+        dropped at the push would have been skipped at the pop.
+
+        squared runs the loop for euclidean_vertex_lower_bound: the band
+        value is isqrt(e2), e2 the band's least squared Euclidean distance,
+        the maximum is of 4d^2 / e2, and bounds are compared with it squared.
         """
-        n, dtype = self.n, self.coords.dtype
-        self.diff = np.empty((3, 1, n), dtype=dtype)
-        self.dist = np.empty((1, n), dtype=dtype)
-        self.num, self.den = 1, 1
-        self.index_pairs: set[tuple[int, int]] = set()
-        self.pairs = 0
+        n, coords = self.n, self.coords
+        base = coords[:, :n]
+        diff = np.empty((3, n), dtype=coords.dtype)
+        dist = np.empty(n, dtype=coords.dtype)
+        bound, least, push, pop = _interval_bound, np.minimum.reduce, heapq.heappush, heapq.heappop
+        bands: list[tuple[int, int]] = []
+        num, den = 1, 1
         queue: list[tuple[float, int, int, int, int, int, int, int]] = []
-
-        def push(a: int, ma: int, b: int, mb: int) -> None:
-            if b - a > 1:
-                num, den, d = _interval_bound(a, ma, b, mb)
-                heapq.heappush(queue, (-num / den, a, ma, b, mb, num, den, d))
-
-        h = n // 2
-        push(0, 0, h, self._step(h))
-        while queue:
-            _, a, ma, b, mb, num, den, d = heapq.heappop(queue)
+        # the antipodal band first, in the interval (0, h) with nothing after it
+        a, ma, d = 0, 0, n // 2
+        b, mb = d, 0
+        while d:
+            _taxicab(base, coords[:, n - d : 2 * n - d], diff, dist)
+            if squared:
+                e2 = int(np.square(diff, dtype=np.int64).sum(axis=0).min())
+                m, r_num, r_den = math.isqrt(e2), 4 * d * d, e2
+            else:
+                # at most 3n: int() is exact
+                m = r_den = int(least(dist))
+                r_num = 2 * d
+            bands.append((d, m))
+            if r_num * den > num * r_den:
+                num, den = r_num, r_den
+            for lo, m_lo, hi, m_hi in ((a, ma, d, m), (d, m, b, mb)):
+                if hi - lo > 1:
+                    t_num, t_den, split = bound(lo, m_lo, hi, m_hi)
+                    key = -t_num / t_den
+                    if squared:
+                        t_num, t_den = t_num * t_num, t_den * t_den
+                    if t_num * den >= num * t_den:
+                        push(queue, (key, lo, m_lo, hi, m_hi, t_num, t_den, split))
             # the float key only decides the order, and orders distinct
             # bounds exactly for n^3 < 2^51 (n < 2^17): a bound is at most
             # n/2 with a denominator below 2n, so two differ by more than
             # 1/(4n^2), while one rounding moves each by at most 2^-54 n;
             # the skip test is exact
-            if self._below(num, den):
-                continue
-            md = self._step(d)
-            push(a, ma, d, md)
-            push(d, md, b, mb)
+            d = 0
+            while queue:
+                _, a, ma, b, mb, t_num, t_den, split = pop(queue)
+                if t_num * den >= num * t_den:
+                    d = split
+                    break
+        self.bands, self.num, self.den = bands, num, den
 
     def _sweep_rows(self) -> Heatmap:
         """Evaluate every band into the per-row maxima only.
@@ -289,27 +296,33 @@ class _Sweep:
         distinct inverse ratios c / 2d in (0, 1] differ by at least 1/n^2,
         while two roundings move a key by at most 2u (1 + u/2): u = 2^-24 in
         float32, taken when n^2 < 2^22, else 2^-53 in float64, while
-        n^2 < 2^51, as _heatmap_sweep checks.  So a larger ratio has a
+        n^2 < 2^51, which MAX_HEATMAP_EDGES keeps.  So a larger ratio has a
         smaller key, and equal keys mean equal ratios (equal ratios may get
         keys an ulp apart; a row keeps either).  One pass per block marks
         the bands at each row's least key and keeps the largest c among
         them, in the kernel's dtype.  At the end 2d = rint(c / key) in
         float64, off by at most n 2^-22 < 1/2.
 
-        Every pass reads contiguous operands.  The kernel writes each block
-        into the contiguous (width, n) dist.  A copy, wide, doubles each
-        row as _Sweep doubles the coordinates, as far as a block reads it:
-        its first d1 - 1 distances repeat after it.  One window view made
-        before the loop, forward[b, k] = wide[b, b + k], hands each block
-        its partners' distances as forward[:w, d0 : d0 + n].  The key
+        The sweep makes its two window views before the loop.  The first,
+        windows[:, k] = coords[:, k : k + n], hands the kernel the partners
+        of bands d0 .. d1 - 1 as windows[:, n - d0 : n - d1 : -1].  Every
+        pass reads contiguous operands.  The kernel writes each block into
+        the contiguous (width, n) dist.  A copy, wide, doubles each row as
+        _Sweep doubles the coordinates, as far as a block reads it: its
+        first d1 - 1 distances repeat after it.  The second view,
+        forward[b, k] = wide[b, b + k], hands each block its partners'
+        distances as forward[:w, d0 : d0 + n].  The key
         is c cast to the key's dtype, then scaled in place by fl(1 / 2d): c
         <= 3n is exact in float32 and float64, so this rounds c * fl(1 / 2d)
         once, bit for bit as a mixed int-by-float multiply would.
         """
-        n, h, dtype = self.n, self.n // 2, self.coords.dtype
+        n, h, coords = self.n, self.n // 2, self.coords
+        dtype = coords.dtype
         width = min(h, max(1, BLOCK_ELEMENTS // n))
-        self.diff = np.empty((3, width, n), dtype=dtype)
-        self.dist = np.empty((width, n), dtype=dtype)
+        base = coords[:, None, :n]
+        windows = sliding_window_view(coords, n, axis=1)
+        diff = np.empty((3, width, n), dtype=dtype)
+        dist = np.empty((width, n), dtype=dtype)
         wide = np.empty((width, 2 * n), dtype=dtype)
         # every (2n + 1)-th window of the flat wide: width rows, as width <= h + 1
         forward = sliding_window_view(wide.reshape(-1), n + h)[:: 2 * n + 1]
@@ -322,7 +335,7 @@ class _Sweep:
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
             w = d1 - d0
-            block = self._bands(d0, d1)
+            block = _taxicab(base, windows[:, n - d0 : n - d1 : -1], diff[:, :w], dist[:w])
             wide[:w, :n] = block
             wide[:w, n : n + d1 - 1] = block[:, : d1 - 1]
             cand = np.minimum(block, forward[:w, d0 : d0 + n], out=block)
@@ -342,25 +355,29 @@ class _Sweep:
         return Heatmap(self.knot, row_num // g, row_den // g)
 
     def report(self) -> DistortionReport:
-        """The maximum and its witnesses, once the bands are evaluated."""
-        index_pairs = frozenset(self.index_pairs)
-        ij = 2 * np.array(list(index_pairs), dtype=np.int64).reshape(-1, 2)
-        witnesses = frozenset(_point_pairs(self.knot, ij[:, 0], ij[:, 1]))
-        return DistortionReport(Fraction(self.num, self.den), witnesses, self.pairs, index_pairs)
+        """The maximum and its witnesses, once _refine has run.
 
-
-class _EuclideanSweep(_Sweep):
-    """Band values isqrt(e2) and the squared skip test (see euclidean_vertex_lower_bound)."""
-
-    def _step(self, d: int) -> int:
-        self._bands(d, d + 1)
-        e2 = int(np.square(self.diff[:, 0], dtype=np.int64).sum(axis=0).min())
-        if 4 * d * d * self.den > self.num * e2:
-            self.num, self.den = 4 * d * d, e2
-        return math.isqrt(e2)
-
-    def _below(self, num: int, den: int) -> bool:
-        return num * num * self.den < self.num * den * den
+        The witnesses are the index pairs at the value of each recorded
+        band that reaches the maximum, whose distances are taken again:
+        those are the pairs a sweep over every band would find.  Each
+        evaluated band examines n pairs, and the antipodal band h, always
+        evaluated, n/2, as it meets each of its pairs from both ends.
+        """
+        n, coords, num, den = self.n, self.coords, self.num, self.den
+        diff = np.empty((3, n), dtype=coords.dtype)
+        dist = np.empty(n, dtype=coords.dtype)
+        index_pairs: set[tuple[int, int]] = set()
+        for d, m in self.bands:
+            if 2 * d * den == num * m:
+                _taxicab(coords[:, :n], coords[:, n - d : 2 * n - d], diff, dist)
+                # dist and m are at most 3n: the comparison is exact
+                i = np.nonzero(dist == m)[0]
+                j = (i - d) % n
+                index_pairs.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        i, j = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
+        witnesses = frozenset(_point_pairs(self.knot.coords[i], self.knot.coords[j]))
+        pairs = n * len(self.bands) - n // 2
+        return DistortionReport(Fraction(num, den), witnesses, pairs, frozenset(index_pairs))
 
 
 def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
@@ -457,7 +474,7 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
 
     # the antipodal midpoint pairs at the maximum: doubled arc n over tax
     mid = 2 * np.nonzero(n * delta.denominator == tax * delta.numerator)[0] + 1
-    witnesses = _point_pairs(knot, mid, mid + n)
+    witnesses = _point_pairs(knot.coords_at(mid), knot.coords_at(mid + n))
     if rep.delta == delta:
         # each vertex witness (i, j) against {v_i, m_(i-1), m_i} x {v_j, m_(j-1), m_j}
         ij = 2 * np.array(list(rep._index_pairs), dtype=np.int64).reshape(-1, 2)
@@ -471,7 +488,7 @@ def _gromov1_from_vertex_report(knot: LatticeKnot, rep: DistortionReport) -> Dis
         arc = np.minimum(arc, 2 * n - arc)
         tax = np.abs(knot.coords_at(p_off) - knot.coords_at(q_off)).sum(axis=1)
         hit = (arc > 0) & (arc * delta.denominator == tax * delta.numerator)
-        witnesses |= _point_pairs(knot, p_off[hit], q_off[hit])
+        witnesses |= _point_pairs(knot.coords_at(p_off[hit]), knot.coords_at(q_off[hit]))
     return DistortionReport(delta, frozenset(witnesses), rep.pairs_examined + half)
 
 
@@ -525,6 +542,6 @@ def euclidean_vertex_lower_bound(knot: LatticeKnot) -> Fraction:
     distinct vertices are 2 apart, so isqrt(e2) >= 2.  Its bound on
     2d / isqrt(e2) >= 2d / sqrt(e2) is compared squared with 4d^2 / e2.
     """
-    sweep = _EuclideanSweep(knot)
-    sweep._refine()
+    sweep = _Sweep(knot)
+    sweep._refine(squared=True)
     return Fraction(sweep.num, sweep.den)

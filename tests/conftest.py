@@ -471,15 +471,16 @@ def witness_true_pairs(report):
 
 @pytest.fixture
 def band_log(monkeypatch) -> list[tuple[int, int]]:
-    """The bands (d, m(d)) the branch and bound evaluates from here on, in order."""
+    """The bands (d, m(d)) the branch and bound evaluates from here on, in
+    order: each run's own record, added as the run ends."""
     bands = []
-    step = _Sweep._step
+    refine = _Sweep._refine
 
-    def logged(sweep, d):
-        bands.append((d, step(sweep, d)))
-        return bands[-1][1]
+    def logged(sweep, *args, **kwargs):
+        refine(sweep, *args, **kwargs)
+        bands.extend(sweep.bands)
 
-    monkeypatch.setattr(_Sweep, "_step", logged)
+    monkeypatch.setattr(_Sweep, "_refine", logged)
     return bands
 
 

@@ -274,15 +274,25 @@ def test_knot_past_the_int32_kernel_exits_one(capsys, monkeypatch, rect14_file):
     assert run(capsys, ["compute", str(rect14_file)])[0] == 0
 
 
-def test_heatmap_past_the_float64_key_exits_one(capsys, monkeypatch, rect14_file):
-    # the bound is lowered, so no test builds a knot of 4.7 * 10^7 edges
-    monkeypatch.setattr(engine, "MAX_HEATMAP_EDGES", 9)
-    for argv in (["compute", "--with-heatmap", str(rect14_file)],
-                 ["heatmap", str(rect14_file), "--csv", "-"]):
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (1, "")
-        assert err == "error: knot has 10 edges; the heatmap takes at most 9\n"
-    for argv in (["compute", str(rect14_file)], ["certify", str(rect14_file)]):
+def test_heatmap_past_the_float64_key_exits_one(capsys, monkeypatch, tmp_path):
+    # the shortest knot past the heatmap's cap, which keeps its float64
+    # keys exact, is refused before any band is evaluated; the commands
+    # that run only the branch and bound still take it
+    cap = engine.MAX_HEATMAP_EDGES
+    path = tmp_path / "long.knot"
+    path.write_text(serialize_vertices(rectangle(1, cap // 2)), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a band was evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_taxicab", refuse)
+        for argv in (["compute", "--with-heatmap", str(path)],
+                     ["heatmap", str(path), "--csv", "-"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: knot has {cap + 2} edges; the heatmap takes at most {cap}\n"
+    for argv in (["compute", str(path)], ["certify", str(path)]):
         assert run(capsys, argv)[0] == 0
 
 
@@ -328,8 +338,7 @@ class TestHeatmapCommand:
         def refuse(*args):
             raise AssertionError("the heatmap command ran the branch and bound")
 
-        for name in ("_refine", "_step"):
-            monkeypatch.setattr(engine._Sweep, name, refuse)
+        monkeypatch.setattr(engine._Sweep, "_refine", refuse)
         code, out, _ = run(capsys, ["heatmap", str(rect14_file), "--csv", "-"])
         assert code == 0 and out == want
 

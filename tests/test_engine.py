@@ -22,6 +22,7 @@ from knotdist import (
     LatticeKnot,
     LatticePoint,
     brute_force_vm_distortion,
+    certify_unknot,
     euclidean_vertex_lower_bound,
     exhaustive_small,
     gromov1_distortion,
@@ -644,9 +645,10 @@ class TestSweepLayout:
         assert vertex_distortion(knot).delta == Fraction(5, 3)
 
     def test_float64_key_bound(self, monkeypatch, band_log):
-        # the row sweep's float64 keys order distinct ratios exactly while n^2 < 2^51
+        # the row sweep's float64 keys order distinct ratios exactly while
+        # n^2 < 2^51, which the cap on its quadratic time keeps
         limit = knotdist.engine.MAX_HEATMAP_EDGES
-        assert limit**2 < 2**51 <= (limit + 1) ** 2
+        assert limit == 2**15 and limit**2 < 2**51
         knot = rectangle(3, 3)
         monkeypatch.setattr(knotdist.engine, "MAX_HEATMAP_EDGES", knot.n - 1)
         for run in (heatmap, vertex_distortion_with_heatmap,
@@ -669,8 +671,9 @@ class TestSweepLayout:
         assert refused.value.result.codes() & {"too_short", "odd_length"}
 
     def test_drivers_set_up_their_own_state(self, monkeypatch, trefoil):
-        # _Sweep holds the band kernel; the branch and bound's running
-        # maximum lives only after _refine, the row sweep's buffers in _sweep_rows
+        # _Sweep holds the coordinates; the branch and bound's record and
+        # maximum live only after _refine, the row sweep's buffers and views
+        # in _sweep_rows
         sweeps = []
         real = knotdist.engine._Sweep
 
@@ -680,18 +683,30 @@ class TestSweepLayout:
 
         monkeypatch.setattr(knotdist.engine, "_Sweep", recording)
         heatmap(trefoil)
-        assert not {"num", "den", "index_pairs", "pairs"} & set(vars(sweeps[-1]))
+        assert set(vars(sweeps[-1])) == {"knot", "n", "coords"}
         vertex_distortion_with_heatmap(trefoil)
         rows = {"row_num", "row_den", "row_key", "cand", "cand_buffer", "key", "key_buffer",
-                "hit", "hit_buffer", "inverse_twice_d", "wide", "forward"}
+                "hit", "hit_buffer", "inverse_twice_d", "wide", "forward", "windows", "diff",
+                "dist", "base"}
         assert not rows & set(vars(sweeps[-1]))
         assert len(sweeps) == 2
 
-    def test_pruned_run_allocates_one_band(self):
+    def test_pruned_run_allocates_one_band(self, monkeypatch):
+        # every kernel call of the report path, witness pass included, fills
+        # one band's (3, n) and (n,) buffers
         knot = rectangle(20, 20)
-        sweep = knotdist.engine._Sweep(knot)
-        sweep._refine()
-        assert sweep.diff.shape == (3, 1, knot.n) and sweep.dist.shape == (1, knot.n)
+        shapes = []
+        kernel = knotdist.engine._taxicab
+
+        def spy(base, partners, diff, dist):
+            shapes.append((diff.shape, dist.shape))
+            return kernel(base, partners, diff, dist)
+
+        monkeypatch.setattr(knotdist.engine, "_taxicab", spy)
+        for run in (vertex_distortion, euclidean_vertex_lower_bound):
+            shapes.clear()
+            run(knot)
+            assert shapes and set(shapes) == {((3, knot.n), (knot.n,))}, run
 
     def test_rows_are_contiguous(self, small_corpus, trefoil):
         # the band kernel slices each coordinate row, so rows must not be strided
@@ -752,32 +767,25 @@ class TestEuclideanBound:
         for knot in knots:
             assert euclidean_vertex_lower_bound(knot) == reference_euclidean_descending(knot), knot
 
-    def test_band_values_are_floors_of_the_minima(self, monkeypatch, small_corpus):
+    def test_band_values_are_floors_of_the_minima(self, small_corpus, band_log):
         # the interval bound holds for lower bounds on the band minima: a
         # value rounded up, even by one, may drop a band it should keep
-        seen = []
-        step = knotdist.engine._EuclideanSweep._step
-        monkeypatch.setattr(knotdist.engine._EuclideanSweep, "_step",
-                            lambda sweep, d: seen.append((d, step(sweep, d))) or seen[-1][1])
         for knot in small_corpus + [torus_knot(2, 3, 4), random_polygon(200, 1)]:
-            seen.clear()
+            band_log.clear()
             euclidean_vertex_lower_bound(knot)
             c = knot.coords
-            for d, m in seen:
+            assert band_log, knot
+            for d, m in band_log:
                 diff = c - np.roll(c, d, axis=0)
                 e2 = int((diff * diff).sum(axis=1).min())
                 assert m * m <= e2 < (m + 1) ** 2, (knot, d)
 
     @pytest.mark.parametrize("knot, most", [(rectangle(2500, 2500), 60),
                                             (torus_knot(2, 3, 40), 80)])
-    def test_few_bands(self, monkeypatch, knot, most):
+    def test_few_bands(self, band_log, knot, most):
         # a descending loop evaluates 4,998 of 5,000 and 956 of 968 bands here
-        calls = []
-        bands = knotdist.engine._Sweep._bands
-        monkeypatch.setattr(knotdist.engine._Sweep, "_bands",
-                            lambda sweep, d0, d1: calls.append(d0) or bands(sweep, d0, d1))
         euclidean_vertex_lower_bound(knot)
-        assert 0 < len(calls) <= most
+        assert 0 < len(band_log) <= most
 
     def test_dominates_squared_delta(self, small_corpus, trefoil):
         for knot in small_corpus + [trefoil]:
@@ -810,8 +818,7 @@ class TestHeatmap:
             raise AssertionError("heatmap ran the branch and bound")
 
         want = [heatmap(knot) for knot in small_corpus]
-        for name in ("_refine", "_step"):
-            monkeypatch.setattr(knotdist.engine._Sweep, name, refuse)
+        monkeypatch.setattr(knotdist.engine._Sweep, "_refine", refuse)
         assert [heatmap(knot) for knot in small_corpus] == want
 
     def test_1x4_peak_row(self):
@@ -865,18 +872,24 @@ def block_widths(knot):
 
 
 def sweep_blocks(monkeypatch, knot, width, run):
-    """run(knot) with blocks of the given width; also returns the blocks."""
-    blocks = []
-    real = knotdist.engine._Sweep._bands
+    """run(knot) with blocks of the given width; also returns the blocks.
 
-    def spy(self, d0, d1):
-        blocks.append((d0, d1))
-        return real(self, d0, d1)
+    A block is the bands d0 .. d1 - 1 of one kernel call, read off its
+    partners: the window of band d0 starts at column n - d0 of the doubled
+    coordinates, whose first column base starts at.
+    """
+    blocks = []
+    kernel = knotdist.engine._taxicab
+
+    def spy(base, partners, diff, dist):
+        d0 = knot.n - (partners.ctypes.data - base.ctypes.data) // partners.itemsize
+        blocks.append((d0, d0 + (len(dist) if dist.ndim == 2 else 1)))
+        return kernel(base, partners, diff, dist)
 
     with monkeypatch.context() as m:
         if width is not None:
             m.setattr(knotdist.engine, "BLOCK_ELEMENTS", width * knot.n)
-        m.setattr(knotdist.engine._Sweep, "_bands", spy)
+        m.setattr(knotdist.engine, "_taxicab", spy)
         return run(knot), blocks
 
 
@@ -890,32 +903,42 @@ class TestBlockedSweep:
             assert sorted(d for d0, d1 in blocks for d in range(d0, d1)) == list(range(1, 61))
             widths = sorted((d1 - d0 for d0, d1 in blocks), reverse=True)
             assert set(widths[:-1]) <= {min(width, 60)} and widths[-1] <= min(width, 60)
-        _, blocks = sweep_blocks(monkeypatch, knot, None, vertex_distortion)
-        assert all(d1 == d0 + 1 for d0, d1 in blocks)
+
+    def test_pruned_run_records_single_bands(self, band_log):
+        # the branch and bound evaluates one band at a time: its record
+        # lists each band once, and pairs_examined counts exactly those
+        knot = random_polygon(120, 1)
+        rep = vertex_distortion(knot)
+        bands = [d for d, _ in band_log]
+        assert len(set(bands)) == len(bands) == bands_evaluated(knot, rep)
+        assert set(bands) <= set(range(1, 61))
 
     def test_kernel_blocks_are_contiguous_and_one_view_per_sweep(self, monkeypatch, trefoil):
         # a block written into strided rows halves the speed of the kernel's
-        # adds, and a view made per block adds Python per block; neither
-        # changes a result, so only this test sees them
+        # adds, and a view made per block or per band adds Python to it;
+        # neither changes a result, so only this test sees them
         contiguous, views = [], []
-        bands, view = knotdist.engine._Sweep._bands, knotdist.engine.sliding_window_view
+        kernel, view = knotdist.engine._taxicab, knotdist.engine.sliding_window_view
 
-        def spy(sweep, d0, d1):
-            block = bands(sweep, d0, d1)
+        def spy(base, partners, diff, dist):
+            block = kernel(base, partners, diff, dist)
             contiguous.append(block.flags.c_contiguous)
             return block
 
-        monkeypatch.setattr(knotdist.engine._Sweep, "_bands", spy)
+        monkeypatch.setattr(knotdist.engine, "_taxicab", spy)
         monkeypatch.setattr(knotdist.engine, "sliding_window_view",
                             lambda *args, **kwargs: views.append(1) or view(*args, **kwargs))
+        reports = (vertex_distortion, lambda k: certify_unknot(vertex_distortion(k)),
+                   gromov1_distortion, euclidean_vertex_lower_bound, build_report)
         for knot in (trefoil, random_polygon(2000, 0), rectangle(1, 4999)):
-            for run in (heatmap, vertex_distortion_with_heatmap):
+            for run in (heatmap, vertex_distortion_with_heatmap) + reports:
                 contiguous.clear()
                 views.clear()
                 run(knot)
                 assert contiguous and all(contiguous), (knot, run)
-                # the kernel's coordinate windows and the row sweep's forward view
-                assert len(views) == 2, (knot, run)
+                # the row sweep's coordinate windows and forward view; the
+                # report path slices one band's partners and makes no view
+                assert len(views) == (0 if run in reports else 2), (knot, run)
 
     def test_heatmap_rows_across_block_boundaries(self, monkeypatch, small_corpus):
         for knot in block_knots(small_corpus):
