@@ -59,7 +59,7 @@ def _write(text: str, output: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    result = validate(parse_vertices(Path(args.file).read_text(encoding="utf-8")))
+    result = validate(parse_vertices(Path(args.file).read_bytes()))
     if result.ok:
         print("ok")
         return 0
@@ -144,6 +144,8 @@ def _cmd_enumerate(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="knotdist", description="Lattice knot distortion toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    # name -> the command's own parser, which parser hands the arguments after the name
+    parser.commands = subs.choices
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help)
@@ -196,8 +198,16 @@ _PARSER = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; argv defaults to sys.argv[1:].
+
+    argv naming a command goes straight to that command's parser, which
+    is what _PARSER would hand it, with the same messages and exit codes;
+    anything else (no command, -h, an unknown command) goes to _PARSER.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _PARSER.commands.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -6,7 +6,10 @@ the arc length is fixed, so the band's best ratio is 2d over the band
 minimum m(d) of the taxicab distances (doubled units).  One kernel,
 _taxicab, evaluates bands with four vectorised integer operations into
 buffers its caller made; the coordinates are stored twice, so the
-partners of a band are one contiguous slice of them.
+partners of a band are one contiguous slice of them, and read flat, one
+slice of the flat (3, 2n) array holds all three rows' partners: one
+band is one subtract and one abs over a flat span of 5n values, and two
+adds of its row views.
 
 A report refines over the bands instead of evaluating them all: each
 step moves one end of a pair by one edge, which changes its taxicab
@@ -23,7 +26,9 @@ pushed or, as the maximum grows, when it is popped; any other gets the
 band at the ceiling of the bound's argmax evaluated and is split there
 (Piyavskii-Shubert branch and bound).  A band costs one kernel call on
 its slice, one reduction and the heap step, and the run keeps the
-evaluated bands (d, m(d)) in order.  A band that reaches the final
+evaluated bands (d, m(d)) in order, and the indices at the least value
+of each band that reaches or ties the running maximum, so the witnesses
+need no second kernel call.  A band that reaches the final
 maximum has a bound at least that maximum, so it is never dropped: the
 strict test keeps the witness set identical to that of a sweep over
 every band.  Taken highest bound first, every evaluated band other than
@@ -174,19 +179,21 @@ def _interval_bound(a: int, ma: int, b: int, mb: int) -> tuple[int, int, int]:
     return t4, max(2 * big_a - t4, 2 * big_b + t4, 4), (t4 + 3) // 4
 
 
-def _taxicab(base: np.ndarray, partners: np.ndarray, diff: np.ndarray,
+def _taxicab(base: np.ndarray, partners: np.ndarray, diff: np.ndarray, rows,
              dist: np.ndarray) -> np.ndarray:
     """The band kernel: the taxicab distances of base to partners, into dist.
 
     The drivers build every operand before the call: base and partners
     from _Sweep's doubled coordinates, diff and dist as buffers made once
-    per run.  diff is left holding the absolute coordinate differences.
-    Every value is at most 3n, in the coordinates' dtype.
+    per run, and rows, the three coordinate rows of diff, as views of it
+    (any sequence of three).  diff is left holding the absolute coordinate
+    differences.  Every value is at most 3n, in the coordinates' dtype.
     """
     np.subtract(base, partners, out=diff)
     np.abs(diff, out=diff)
-    np.add(diff[0], diff[1], out=dist)
-    return np.add(dist, diff[2], out=dist)
+    x, y, z = rows
+    np.add(x, y, out=dist)
+    return np.add(dist, z, out=dist)
 
 
 class _Sweep:
@@ -202,7 +209,8 @@ class _Sweep:
     expression notes its bound.  Squared Euclidean sums reach 3 n^2 and
     are taken in int64.  Each of the three coordinate rows is stored
     twice, so the band partners i - d (mod n) of the indices i are the
-    contiguous slice [n - d, 2n - d) of the doubled rows.
+    contiguous slice [n - d, 2n - d) of the doubled rows, and those of
+    all three rows lie in one slice of the array read flat (see _refine).
     """
 
     def __init__(self, knot: LatticeKnot):
@@ -225,44 +233,61 @@ class _Sweep:
     def _refine(self, squared: bool = False) -> None:
         """Evaluate every band whose bound reaches the running maximum.
 
-        A band is one kernel call on the contiguous slice of its partners,
-        into a (3, n) and an (n,) buffer made once per run, and one
-        reduction to its value m(d).  The run keeps the evaluated bands in
-        order as self.bands, pairs (d, m(d)), and the maximum of 2d / m(d)
-        as self.num / self.den; report() reads the witnesses off them.  The
-        heap holds open intervals (a, b) of unevaluated bands, highest
-        bound first; band 0 is a virtual end with value 0.  An interval is
-        pushed only if its bound reaches the maximum, and evaluated only if
-        it still does when popped: the maximum only grows, so an interval
+        A band is one kernel call over one flat span and one reduction to
+        its value m(d).  Read flat, the doubled (3, 2n) coordinates hold
+        each row's indices at [2nr, 2nr + n) and its band-d partners n - d
+        further on, so base flat[:5n] against flat[n - d : 6n - d] takes
+        every row's differences in one subtract and one abs, into a flat
+        5n span of a (3, 2n) buffer made once per run, whose row views
+        [:, :n] the kernel adds into an (n,) buffer.  The 2n entries
+        between the rows are unused: they too are differences of
+        coordinates in [0, n], so they lie in [-n, n] and cannot wrap.
+
+        The run keeps the evaluated bands in order as self.bands, pairs
+        (d, m(d)), the maximum of 2d / m(d) as self.num / self.den, and as
+        self.witnesses each band (d, i) that reaches it, i the indices at
+        its least value (squared or not): a band that reaches or ties the
+        running maximum is kept, and a new maximum drops those kept before.  The heap
+        holds open intervals (a, b) of unevaluated bands, highest bound
+        first; band 0 is a virtual end with value 0.  An interval is pushed
+        only if its bound reaches the maximum, and evaluated only if it
+        still does when popped: the maximum only grows, so an interval
         dropped at the push would have been skipped at the pop.
 
         squared runs the loop for euclidean_vertex_lower_bound: the band
         value is isqrt(e2), e2 the band's least squared Euclidean distance,
         the maximum is of 4d^2 / e2, and bounds are compared with it squared.
         """
-        n, coords = self.n, self.coords
-        base = coords[:, :n]
-        diff = np.empty((3, n), dtype=coords.dtype)
-        dist = np.empty(n, dtype=coords.dtype)
+        n, flat = self.n, self.coords.reshape(-1)
+        base = flat[: 5 * n]
+        buffer = np.empty((3, 2 * n), dtype=flat.dtype)
+        diff, grid = buffer.reshape(-1)[: 5 * n], buffer[:, :n]
+        rows = tuple(grid)
+        dist = np.empty(n, dtype=flat.dtype)
         bound, least, push, pop = _interval_bound, np.minimum.reduce, heapq.heappush, heapq.heappop
         bands: list[tuple[int, int]] = []
+        witnesses: list[tuple[int, np.ndarray]] = []
         num, den = 1, 1
         queue: list[tuple[float, int, int, int, int, int, int, int]] = []
         # the antipodal band first, in the interval (0, h) with nothing after it
         a, ma, d = 0, 0, n // 2
         b, mb = d, 0
         while d:
-            _taxicab(base, coords[:, n - d : 2 * n - d], diff, dist)
+            _taxicab(base, flat[n - d : 6 * n - d], diff, rows, dist)
             if squared:
-                e2 = int(np.square(diff, dtype=np.int64).sum(axis=0).min())
-                m, r_num, r_den = math.isqrt(e2), 4 * d * d, e2
+                values = np.square(grid, dtype=np.int64).sum(axis=0)
+                r_den = int(values.min())
+                m, r_num = math.isqrt(r_den), 4 * d * d
             else:
-                # at most 3n: int() is exact
-                m = r_den = int(least(dist))
-                r_num = 2 * d
+                # at most 3n: int() is exact, and so is the comparison with dist
+                values, m = dist, int(least(dist))
+                r_num, r_den = 2 * d, m
             bands.append((d, m))
-            if r_num * den > num * r_den:
-                num, den = r_num, r_den
+            gain = r_num * den - num * r_den
+            if gain >= 0:
+                if gain:
+                    num, den, witnesses = r_num, r_den, []
+                witnesses.append((d, np.flatnonzero(values == r_den)))
             for lo, m_lo, hi, m_hi in ((a, ma, d, m), (d, m, b, mb)):
                 if hi - lo > 1:
                     t_num, t_den, split = bound(lo, m_lo, hi, m_hi)
@@ -282,7 +307,7 @@ class _Sweep:
                 if t_num * den >= num * t_den:
                     d = split
                     break
-        self.bands, self.num, self.den = bands, num, den
+        self.bands, self.num, self.den, self.witnesses = bands, num, den, witnesses
 
     def _sweep_rows(self) -> Heatmap:
         """Evaluate every band into the per-row maxima only.
@@ -335,7 +360,9 @@ class _Sweep:
         for d0 in range(1, h + 1, width):
             d1 = min(h + 1, d0 + width)
             w = d1 - d0
-            block = _taxicab(base, windows[:, n - d0 : n - d1 : -1], diff[:, :w], dist[:w])
+            block_diff = diff[:, :w]
+            block = _taxicab(base, windows[:, n - d0 : n - d1 : -1], block_diff, block_diff,
+                             dist[:w])
             wide[:w, :n] = block
             wide[:w, n : n + d1 - 1] = block[:, : d1 - 1]
             cand = np.minimum(block, forward[:w, d0 : d0 + n], out=block)
@@ -357,23 +384,17 @@ class _Sweep:
     def report(self) -> DistortionReport:
         """The maximum and its witnesses, once _refine has run.
 
-        The witnesses are the index pairs at the value of each recorded
-        band that reaches the maximum, whose distances are taken again:
-        those are the pairs a sweep over every band would find.  Each
-        evaluated band examines n pairs, and the antipodal band h, always
-        evaluated, n/2, as it meets each of its pairs from both ends.
+        The witnesses are the index pairs (i, i - d) of the bands _refine
+        kept at the maximum: those are the pairs a sweep over every band
+        would find.  No distance is taken again.  Each evaluated band
+        examines n pairs, and the antipodal band h, always evaluated, n/2,
+        as it meets each of its pairs from both ends.
         """
-        n, coords, num, den = self.n, self.coords, self.num, self.den
-        diff = np.empty((3, n), dtype=coords.dtype)
-        dist = np.empty(n, dtype=coords.dtype)
+        n, num, den = self.n, self.num, self.den
         index_pairs: set[tuple[int, int]] = set()
-        for d, m in self.bands:
-            if 2 * d * den == num * m:
-                _taxicab(coords[:, :n], coords[:, n - d : 2 * n - d], diff, dist)
-                # dist and m are at most 3n: the comparison is exact
-                i = np.nonzero(dist == m)[0]
-                j = (i - d) % n
-                index_pairs.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        for d, i in self.witnesses:
+            j = (i - d) % n
+            index_pairs.update(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
         i, j = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
         witnesses = frozenset(_point_pairs(self.knot.coords[i], self.knot.coords[j]))
         pairs = n * len(self.bands) - n // 2

@@ -8,15 +8,21 @@ X x Y y Z z (uppercase steps +1, lowercase -1) starting at the origin.
 them.  parse_vertices reads the vertex list only, as an (n, 3) integer
 array; parse_knot also validates it.  Error messages cite line numbers.
 
-A vertex file is read one of two ways.  When the text past any leading
-whitespace is ASCII and the classes of its bytes show the header and
-three tokens on every non-blank line, numpy's text-mode fromstring
-converts the tokens in C; that read is kept only when fromstring reached
-the end of the text and no value is an int64 extreme, where it saturates
-tokens outside int64.  Every other text (non-ASCII text, separators that
-fromstring refuses, tokens at or past the int64 extremes, the move form,
-a syntax error) is read line by line, which names the first bad line and
-converts with int() only once every line has passed.
+A file is read as bytes (load_knot), and parse_vertices takes text or
+UTF-8 bytes.  A vertex file is read one of two ways.  When the file past
+any leading whitespace is ASCII and the classes of its bytes show the
+header and three tokens on every non-blank line, numpy's text-mode
+fromstring converts the tokens in C, straight from the bytes; that read
+is kept only when fromstring reached the end of the body and no value is
+an int64 extreme, where it saturates tokens outside int64.  Every other
+file (non-ASCII text, separators that fromstring refuses, tokens at or
+past the int64 extremes, the move form, a syntax error) is read line by
+line, which names the first bad line and converts with int() only once
+every line has passed.  Bytes are decoded only where text is needed:
+to cut comments, to strip non-ASCII whitespace before the header of a
+non-ASCII file, and for the line reader.  Lines end where str.splitlines
+ends them, so a file parses the same whether its bytes are given or its
+text read with universal newlines, which turn "\r\n" and "\r" into "\n".
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ from __future__ import annotations
 import re
 import warnings
 from pathlib import Path
-from typing import Optional, Union
+from typing import AnyStr, Optional, Union
 
 import numpy as np
 
 from .lattice import UNIT_STEPS, LatticeKnot, _coordinate_array
 
 HEADER = "latticeknot v1"
+_HEADER_BYTES = HEADER.encode()
 
 _INT64 = np.iinfo(np.int64)
 # the move letters, one per unit step in the order of UNIT_STEPS
@@ -74,20 +81,20 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _vertex_body(code: str) -> Optional[str]:
-    """The text after the header when code is a vertex file, else None.
+def _vertex_body(code: AnyStr) -> Optional[AnyStr]:
+    """The text or bytes after the header when code is a vertex file, else None.
 
     Past any leading whitespace, such a file is ASCII: the header, nothing
     but gaps after it on its line, and one or more lines of three
     [+-]?[0-9]+ tokens between gaps, with whitespace-only lines anywhere.
-    One translate maps the body's bytes to their classes, and numpy
+    One translate maps the bytes of the body to their classes, and numpy
     counts the token starts on each line.
     """
     code = code.lstrip()
-    if not code.startswith(HEADER):
+    raw = code.encode() if isinstance(code, str) else code
+    if not raw.startswith(_HEADER_BYTES):
         return None
-    body = code[len(HEADER):]
-    cls = body.encode().translate(_BYTE_CLASS)
+    cls = raw[len(_HEADER_BYTES):].translate(_BYTE_CLASS)
     # refuse a byte of class 0 (every byte of a non-ASCII character is
     # one), anything but gaps after the header on its line, a final sign
     if b"\0" in cls or cls.lstrip(b"\3")[:1] != b"\4" or cls.endswith(b"\2"):
@@ -105,22 +112,26 @@ def _vertex_body(code: str) -> Optional[str]:
     # every line holds none or exactly three
     counts = np.add.reduceat(start.view(np.uint8), np.flatnonzero(c == 4), dtype=np.uint8)
     total = np.count_nonzero(start)
-    return body if total and total == 3 * np.count_nonzero(counts == 3) else None
+    ok = total and total == 3 * np.count_nonzero(counts == 3)
+    return code[len(HEADER):] if ok else None
 
 
-def parse_vertices(text: str) -> np.ndarray:
+def parse_vertices(text: Union[str, bytes]) -> np.ndarray:
     """Parse either file form into its true vertices, unvalidated.
 
-    Returns an (n, 3) integer array: int64, or, from the line reader,
-    Python ints in an object array when a coordinate does not fit in 64
-    bits.  Raises
+    text is the file's text, or its bytes in UTF-8, which are decoded
+    only where text is needed (see the module docstring).  Returns an
+    (n, 3) integer array: int64, or, from the line reader, Python ints in
+    an object array when a coordinate does not fit in 64 bits.  Raises
     KnotFileError on syntax problems or a move string that does not
     close; whether the vertices form a lattice knot is left to
     :func:`validate`.
     """
+    if isinstance(text, bytes) and (b"#" in text or not text.isascii()):
+        text = text.decode("utf-8")
     # cutting comments can join "\r#\n" into one line end, so the line
     # numbers of errors come from the original text
-    code = _COMMENT_RE.sub("", text) if "#" in text else text
+    code = _COMMENT_RE.sub("", text) if isinstance(text, str) and "#" in text else text
     body = _vertex_body(code)
     if body is not None:
         try:
@@ -135,6 +146,8 @@ def parse_vertices(text: str) -> np.ndarray:
         # not always of its own sign, so a read with an extreme is not trusted
         if flat is not None and flat.min() != _INT64.min and flat.max() != _INT64.max:
             return flat.reshape(-1, 3)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     lines = _significant_lines(text)
     if not lines:
         raise KnotFileError("empty file; expected header " + repr(HEADER))
@@ -158,12 +171,12 @@ def parse_vertices(text: str) -> np.ndarray:
     return _coordinate_array([[int(t) for t in line.split()] for _, line in body])
 
 
-def parse_knot(text: str) -> LatticeKnot:
-    """Parse either file form and return a validated knot.
+def parse_knot(text: Union[str, bytes]) -> LatticeKnot:
+    """Parse either file form, as text or UTF-8 bytes, and return a validated knot.
 
     Raises KnotFileError on syntax problems or a move string that does
     not close, InvalidKnotError when the described polygon violates the
-    knot invariants.
+    knot invariants, UnicodeDecodeError on bytes that are not UTF-8.
     """
     return LatticeKnot.from_true(parse_vertices(text))
 
@@ -212,7 +225,8 @@ def serialize_moves(knot: LatticeKnot) -> str:
 
 
 def load_knot(path: Union[str, Path]) -> LatticeKnot:
-    return parse_knot(Path(path).read_text(encoding="utf-8"))
+    """The validated knot in a file, read as bytes (see parse_vertices)."""
+    return parse_knot(Path(path).read_bytes())
 
 
 def save_knot(knot: LatticeKnot, path: Union[str, Path], form: str = "vertices") -> None:

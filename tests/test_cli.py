@@ -6,11 +6,12 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotdist import (
-    cli, engine, generators, random_polygon, rectangle, serialize_vertices, torus_knot, transform,
+    cli, engine, generators, load_knot, parse_knot, random_polygon, rectangle, serialize_vertices,
+    torus_knot, transform,
 )
 from knotdist.cli import main
 from knotdist.report import build_report
@@ -464,3 +465,71 @@ def test_any_file_text_exits_zero_one_or_two(tmp_path_factory, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2), (argv, text)
+
+
+def outcome(run):
+    """What run() returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the soups as raw bytes: line ends that universal newlines would turn into
+# "\n", separators splitlines ends lines at, and a byte that is not UTF-8
+BYTE_PIECES = [piece.encode() for piece in FILE_PIECES] + [
+    b"\r\n", b"\r", "\x1c".encode(), "\x85".encode(), b"\xff"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join))
+@example(data=b"latticeknot v1\r\n0 0 0\r1 0 0\r\n1 1 0\n0 1 0\r")
+@example(data="latticeknot v1 # c\r\x85 0 0 0\r\n1 0 0\n1 1 0\x1c0 1 0\r#".encode())
+@example(data=b"latticeknot v1\n0 0 0\n1 0 0\n1 1 0\n0 1 \xff\n")
+def test_bytes_and_text_readers_agree(tmp_path_factory, data):
+    # load_knot reads bytes; the text read decodes and turns "\r\n" and
+    # "\r" into "\n"; validate reads bytes as load_knot does
+    path = tmp_path_factory.getbasetemp() / "raw.knot"
+    path.write_bytes(data)
+    loaded = outcome(lambda: load_knot(path))
+    assert loaded == outcome(lambda: parse_knot(path.read_text(encoding="utf-8"))), data
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        valid = main(["validate", str(path)]) == 0
+    assert valid == (not isinstance(loaded, tuple)), data
+
+
+def cli_outcome(argv):
+    """main(argv)'s exit code (a help request's SystemExit too), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli._PARSER.commands)),
+    args=st.lists(st.one_of(st.sampled_from(ARG_PIECES + ["square"]),
+                            st.integers(-2, 7).map(str)), max_size=6),
+)
+@example(command=None, args=[])
+@example(command=None, args=["-h"])
+@example(command="compute", args=["-h"])
+@example(command="frobnicate", args=["square"])
+def test_one_parse_pass_matches_the_whole_parser(tmp_path_factory, command, args):
+    # main hands a command's arguments to its own parser; with no commands
+    # to look up, it parses everything through _PARSER as before
+    path = tmp_path_factory.getbasetemp() / "square-dispatch.knot"
+    path.write_text(serialize_vertices(rectangle(1, 1)), encoding="utf-8")
+    argv = ([] if command is None else [command]) + [
+        str(path) if arg == "square" else arg for arg in args]
+    direct = cli_outcome(argv)
+    commands = cli._PARSER.commands
+    try:
+        cli._PARSER.commands = {}
+        assert direct == cli_outcome(argv), argv
+    finally:
+        cli._PARSER.commands = commands

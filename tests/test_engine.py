@@ -340,6 +340,25 @@ class TestRefinement:
         assert hashlib.sha256(repr(record).encode()).hexdigest() == (
             "d37f8bcd8f1d6dfaae2f50bf8287731c95b02bd1df91cf1203a0160f14c9b546")
 
+    def test_one_kernel_call_per_evaluated_band(self, monkeypatch, band_log):
+        # the witnesses are taken as the bands are evaluated, so the report
+        # path calls the kernel once per recorded band and no more
+        calls = []
+        kernel = knotdist.engine._taxicab
+        monkeypatch.setattr(knotdist.engine, "_taxicab",
+                            lambda *args: calls.append(1) or kernel(*args))
+        # the acceptance corpus, then the benchmark bases
+        knots = [rectangle(m, n) for m in range(1, 7) for n in range(1, 7)]
+        knots += [random_polygon(4 + 2 * (i % 19), i) for i in range(50)]
+        knots += [torus_knot(2, 3, 2)] + benchmark_bases()
+        runs = (vertex_distortion, lambda k: certify_unknot(vertex_distortion(k)), build_report)
+        for knot in knots:
+            for run in runs:
+                calls.clear()
+                band_log.clear()
+                run(knot)
+                assert len(calls) == len(band_log) > 0, (knot, run)
+
 
 class TestBruteForceOracle:
     def test_unit_square_vm_maximum(self, unit_square):
@@ -692,21 +711,27 @@ class TestSweepLayout:
         assert len(sweeps) == 2
 
     def test_pruned_run_allocates_one_band(self, monkeypatch):
-        # every kernel call of the report path, witness pass included, fills
-        # one band's (3, n) and (n,) buffers
+        # every kernel call of the report path fills the same flat 5n span
+        # of differences and (n,) buffer, made once per run, through three
+        # (n,) row views of the span; the witnesses are taken in the loop,
+        # so there is no second pass
         knot = rectangle(20, 20)
-        shapes = []
+        n = knot.n
+        buffers = []
         kernel = knotdist.engine._taxicab
 
-        def spy(base, partners, diff, dist):
-            shapes.append((diff.shape, dist.shape))
-            return kernel(base, partners, diff, dist)
+        def spy(base, partners, diff, rows, dist):
+            assert [row.shape for row in rows] == [(n,)] * 3
+            assert all(np.shares_memory(row, diff) for row in rows)
+            buffers.append((diff.shape, dist.shape, diff.ctypes.data, dist.ctypes.data))
+            return kernel(base, partners, diff, rows, dist)
 
         monkeypatch.setattr(knotdist.engine, "_taxicab", spy)
         for run in (vertex_distortion, euclidean_vertex_lower_bound):
-            shapes.clear()
+            buffers.clear()
             run(knot)
-            assert shapes and set(shapes) == {((3, knot.n), (knot.n,))}, run
+            assert len(buffers) > 1 and len(set(buffers)) == 1, run
+            assert buffers[0][:2] == ((5 * n,), (n,)), run
 
     def test_rows_are_contiguous(self, small_corpus, trefoil):
         # the band kernel slices each coordinate row, so rows must not be strided
@@ -876,15 +901,22 @@ def sweep_blocks(monkeypatch, knot, width, run):
 
     A block is the bands d0 .. d1 - 1 of one kernel call, read off its
     partners: the window of band d0 starts at column n - d0 of the doubled
-    coordinates, whose first column base starts at.
+    coordinates, whose first column base starts at; so does the flat span
+    of the branch and bound's band d0, which the spy checks against that
+    band's distances.
     """
     blocks = []
     kernel = knotdist.engine._taxicab
 
-    def spy(base, partners, diff, dist):
+    def spy(base, partners, diff, rows, dist):
         d0 = knot.n - (partners.ctypes.data - base.ctypes.data) // partners.itemsize
         blocks.append((d0, d0 + (len(dist) if dist.ndim == 2 else 1)))
-        return kernel(base, partners, diff, dist)
+        block = kernel(base, partners, diff, rows, dist)
+        if dist.ndim == 1:
+            # row i of np.roll(coords, d0) is the partner i - d0 (mod n)
+            partner = np.roll(knot.coords, d0, axis=0)
+            assert (block == np.abs(knot.coords - partner).sum(axis=1)).all(), d0
+        return block
 
     with monkeypatch.context() as m:
         if width is not None:
@@ -920,8 +952,8 @@ class TestBlockedSweep:
         contiguous, views = [], []
         kernel, view = knotdist.engine._taxicab, knotdist.engine.sliding_window_view
 
-        def spy(base, partners, diff, dist):
-            block = kernel(base, partners, diff, dist)
+        def spy(base, partners, diff, rows, dist):
+            block = kernel(base, partners, diff, rows, dist)
             contiguous.append(block.flags.c_contiguous)
             return block
 
