@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import LatticeKnot, LatticePoint, _axis_extremes
+from .lattice import LatticeKnot, LatticePoint
 from .metrics import taxicab_doubled
 
 WitnessPair = tuple[LatticePoint, LatticePoint]
@@ -220,13 +220,18 @@ class _Sweep:
             raise ValueError(
                 f"knot has {n} edges; the int32 band kernel takes at most {MAX_SWEEP_EDGES}"
             )
-        v, lo, _ = _axis_extremes(knot.coords)
         dtype = np.int16 if 3 * n < 2**15 else np.int32
-        # C order, so the kernel reads each coordinate row contiguously; the
-        # int64 values fit the dtype because a knot spans at most n per axis
-        self.coords = np.empty((3, 2 * n), dtype=dtype)
-        self.coords[:, :n] = v - np.array(lo)[:, None]
-        self.coords[:, n:] = self.coords[:, :n]
+        # C order, so the kernel reads each coordinate row contiguously
+        coords = self.coords = np.empty((3, 2 * n), dtype=dtype)
+        rows = coords[:, :n]
+        # the rows are copied into the kernel's dtype, which keeps each value
+        # modulo 2^16 or 2^32, and shifted there: a knot spans at most n per
+        # axis, so a row less its first value lies in [-n, n], and less its
+        # least value in [0, n]; both differences are exact after the wrap
+        np.copyto(rows, knot.coords.T, casting="unsafe")
+        rows -= rows[:, :1].copy()
+        rows -= rows.min(axis=1, keepdims=True)
+        coords[:, n:] = rows
 
     # -- drivers ------------------------------------------------------------
 

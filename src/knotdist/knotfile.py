@@ -13,8 +13,8 @@ UTF-8 bytes.  A vertex file is read one of two ways.  When the file past
 any leading whitespace is ASCII and the classes of its bytes show the
 header and three tokens on every non-blank line, numpy's text-mode
 fromstring converts the tokens in C, straight from the bytes; that read
-is kept only when fromstring reached the end of the body and no value is
-an int64 extreme, where it saturates tokens outside int64.  Every other
+is kept only when fromstring read every token of the body and no value
+is an int64 extreme, where it saturates tokens outside int64.  Every other
 file (non-ASCII text, separators that fromstring refuses, tokens at or
 past the int64 extremes, the move form, a syntax error) is read line by
 line, which names the first bad line and converts with int() only once
@@ -28,7 +28,6 @@ text read with universal newlines, which turn "\r\n" and "\r" into "\n".
 from __future__ import annotations
 
 import re
-import warnings
 from pathlib import Path
 from typing import AnyStr, Optional, Union
 
@@ -53,12 +52,12 @@ _GAP = rf"[^\S{_EOL}]"
 _INT = r"[+-]?\d++"
 _VERTEX = rf"{_INT}{_GAP}++{_INT}{_GAP}++{_INT}"
 _VERTEX_RE = re.compile(_VERTEX)
-# the class of each byte of a vertex file: 1 digit, 2 sign, 3 gap (the
-# ASCII characters of _GAP), 4 line end (those of _EOL), 0 anything else,
+# the class of each byte of a vertex file: 1 digit, 2 sign, 4 gap (the
+# ASCII characters of _GAP), 5 line end (those of _EOL), 0 anything else,
 # every byte of a non-ASCII character included
 _BYTE_CLASS = bytes(
-    1 if c in "0123456789" else 2 if c in "+-" else 3 if re.fullmatch(_GAP, c)
-    else 4 if re.fullmatch(f"[{_EOL}]", c) else 0
+    1 if c in "0123456789" else 2 if c in "+-" else 4 if re.fullmatch(_GAP, c)
+    else 5 if re.fullmatch(f"[{_EOL}]", c) else 0
     for c in map(chr, range(128))
 ) + bytes(128)
 
@@ -81,39 +80,55 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _vertex_body(code: AnyStr) -> Optional[AnyStr]:
-    """The text or bytes after the header when code is a vertex file, else None.
+def _vertex_body(code: AnyStr) -> Optional[tuple[AnyStr, int]]:
+    """The text or bytes after the header and the number of tokens in them
+    when code is a vertex file, else None.
 
     Past any leading whitespace, such a file is ASCII: the header, nothing
     but gaps after it on its line, and one or more lines of three
     [+-]?[0-9]+ tokens between gaps, with whitespace-only lines anywhere.
-    One translate maps the bytes of the body to their classes, and numpy
-    counts the token starts on each line.
     """
     code = code.lstrip()
     raw = code.encode() if isinstance(code, str) else code
     if not raw.startswith(_HEADER_BYTES):
         return None
-    cls = raw[len(_HEADER_BYTES):].translate(_BYTE_CLASS)
+    # one translate maps the bytes after the header to their classes, which
+    # are freed before the body is copied
+    tokens = _vertex_tokens(raw[len(_HEADER_BYTES):].translate(_BYTE_CLASS))
+    return (code[len(HEADER):], tokens) if tokens else None
+
+
+def _vertex_tokens(cls: bytes) -> int:
+    """The number of tokens in a vertex file's body, given the classes of
+    its bytes, or 0 when they form no such body.
+
+    One bool buffer holds the signs, then the line ends, then the token
+    starts, which numpy counts on each line.
+    """
     # refuse a byte of class 0 (every byte of a non-ASCII character is
     # one), anything but gaps after the header on its line, a final sign
-    if b"\0" in cls or cls.lstrip(b"\3")[:1] != b"\4" or cls.endswith(b"\2"):
-        return None
-    c = np.frombuffer(cls, np.uint8)
+    if b"\0" in cls or cls.lstrip(b"\4")[:1] != b"\5" or cls.endswith(b"\2"):
+        return 0
+    c = np.frombuffer(cls, np.int8)
     # c[0] is a gap or a line end, so every sign has a byte on each side
-    signs = np.flatnonzero(c == 2)
+    mask = np.equal(c, 2)
+    signs = np.flatnonzero(mask)
     if (c[signs - 1] < 3).any() or (c[signs + 1] != 1).any():
-        return None
-    token = c < 3
-    start = np.zeros_like(token)
-    np.greater(token[1:], token[:-1], out=start[1:])
+        return 0
+    ends = np.flatnonzero(np.equal(c, 5, out=mask))
+    # with every sign between a gap and a digit, a token starts exactly
+    # where the class falls by 2 or more from the byte before, which c[0]
+    # cannot; the falls are written over the line-end mask
+    fall = mask.view(np.int8)
+    fall[0] = 0
+    np.subtract(c[:-1], c[1:], out=fall[1:])
+    start = np.greater(fall, 1, out=mask)
     # token starts per line, in uint8 to keep the array small; a count can
     # wrap at 256, but the starts total 3 per line that counts 3 only when
     # every line holds none or exactly three
-    counts = np.add.reduceat(start.view(np.uint8), np.flatnonzero(c == 4), dtype=np.uint8)
+    counts = np.add.reduceat(start.view(np.uint8), ends, dtype=np.uint8)
     total = np.count_nonzero(start)
-    ok = total and total == 3 * np.count_nonzero(counts == 3)
-    return code[len(HEADER):] if ok else None
+    return total if total == 3 * np.count_nonzero(counts == 3) else 0
 
 
 def parse_vertices(text: Union[str, bytes]) -> np.ndarray:
@@ -132,19 +147,19 @@ def parse_vertices(text: Union[str, bytes]) -> np.ndarray:
     # cutting comments can join "\r#\n" into one line end, so the line
     # numbers of errors come from the original text
     code = _COMMENT_RE.sub("", text) if isinstance(text, str) and "#" in text else text
-    body = _vertex_body(code)
-    if body is not None:
+    found = _vertex_body(code)
+    if found is not None:
+        body, tokens = found
         try:
-            with warnings.catch_warnings():
-                # numpy releases that only deprecate unmatched data warn and
-                # return a short read; the reading must fail instead
-                warnings.simplefilter("error", DeprecationWarning)
-                flat = np.fromstring(body, np.int64, sep=" ")
+            flat = np.fromstring(body, np.int64, sep=" ")
         except (ValueError, DeprecationWarning):
             flat = None
-        # fromstring saturates a token outside int64 to an int64 extreme,
-        # not always of its own sign, so a read with an extreme is not trusted
-        if flat is not None and flat.min() != _INT64.min and flat.max() != _INT64.max:
+        # numpy releases that only deprecate unmatched data warn and return a
+        # short read, which the token count refuses; fromstring saturates a
+        # token outside int64 to an int64 extreme, not always of its own
+        # sign, so a read with an extreme is not trusted either
+        if (flat is not None and len(flat) == tokens
+                and flat.min() != _INT64.min and flat.max() != _INT64.max):
             return flat.reshape(-1, 3)
     if isinstance(text, bytes):
         text = text.decode("utf-8")

@@ -119,10 +119,10 @@ def _coordinate_array(values) -> np.ndarray:
 
 
 def _axis_extremes(a: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """One contiguous row per axis of the (n, 3) array a, with each axis's
-    least and greatest value as Python ints; reductions over the strided
-    columns of a cost more than the copy."""
-    rows = np.ascontiguousarray(a.T)
+    """A fresh contiguous row per axis of the (n, 3) array a, with each
+    axis's least and greatest value as Python ints; reductions over the
+    strided columns of a cost more than the copy."""
+    rows = a.T.copy()
     return rows, rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
 
 
@@ -160,22 +160,41 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     rows, lo, hi = _axis_extremes(a)
     ry, rz = hi[1] - lo[1] + 2, hi[2] - lo[2] + 2
     key_type = np.int64 if (hi[0] - lo[0] + 2) * ry * rz <= COORD_LIMIT else object
-    # x - lo lies in [0, s_x], so each partial sum of an int64 key lies in [0, 2^63)
-    x, y, z = rows.astype(object) if key_type is object else rows
-    key = (((x - lo[0]) * ry + (y - lo[1])) * rz + (z - lo[2])).astype(key_type, copy=False)
-    step = np.abs(np.diff(key, append=key[:1]))
-    for i in np.flatnonzero((step != 1) & (step != rz) & (step != ry * rz)).tolist():
+    if key_type is object:
+        rows = rows.astype(object, copy=False)
+    # each row of this copy becomes its offset from its least value, in
+    # [0, s_k], and row x becomes the key in place; every partial sum of an
+    # int64 key lies in [0, 2^63)
+    for row, least in zip(rows, lo):
+        row -= least
+    key, y, z = rows.astype(key_type, copy=False)
+    key *= ry
+    key += y
+    key *= rz
+    key += z
+    # the steps i -> i + 1 overwrite row y, and the closing step is checked apart
+    step = np.subtract(key[1:], key[:-1], out=y[:-1])
+    np.abs(step, out=step)
+    bad = np.flatnonzero((step != 1) & (step != rz) & (step != ry * rz)).tolist()
+    if abs(key[0] - key[-1]) not in (1, rz, ry * rz):
+        bad.append(n - 1)
+    for i in bad:
         j = (i + 1) % n
         message = f"vertices {i} and {j} are not joined by a unit lattice step"
         violations.append(Violation("not_closed", (i, j), message))
-    # a stable sort puts each vertex's first occurrence at the head of its run of equal keys
-    order = np.argsort(key, kind="stable")
-    ranked = key[order]
-    repeat = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
-    first = order[np.searchsorted(ranked, ranked[repeat])]
-    for i, f in sorted(zip(order[repeat].tolist(), first.tolist())):
-        message = f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}"
-        violations.append(Violation("not_embedded", (f, i), message))
+    # the sorted keys show whether any vertex repeats; only then does a
+    # stable sort put each vertex's first occurrence at the head of its run
+    # of equal keys.  The default kind is kept: a stable sort is faster on
+    # the sorted runs of a rectangle's keys but slower on a random walk's.
+    ranked = np.sort(key)
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        repeat = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+        first = order[np.searchsorted(ranked, ranked[repeat])]
+        for i, f in sorted(zip(order[repeat].tolist(), first.tolist())):
+            message = f"vertex {i} repeats vertex {f} at {tuple(a[i].tolist())}"
+            violations.append(Violation("not_embedded", (f, i), message))
     if min(lo) < -_TRUE_LIMIT or max(hi) > _TRUE_LIMIT:
         # by comparison, not abs(): np.abs(-2**63) is negative in int64
         for i in np.flatnonzero(((a < -_TRUE_LIMIT) | (a > _TRUE_LIMIT)).any(axis=1)).tolist():

@@ -625,8 +625,9 @@ class TestBuildReport:
 
 class TestSweepLayout:
     def test_one_scan_of_the_extremes_per_operation(self, monkeypatch, trefoil):
-        # validate, transform and the sweep read each axis's extremes through
-        # one helper; a second scan or a second _Sweep would call it again
+        # validate and transform read each axis's extremes through one
+        # helper, once; the sweep shifts its rows in the kernel's dtype and
+        # scans no int64 copy, so a second scan or a scan by the sweep fails
         calls = []
         axis_extremes = knotdist.lattice._axis_extremes
 
@@ -634,8 +635,8 @@ class TestSweepLayout:
             calls.append(len(a))
             return axis_extremes(a)
 
-        for module in (knotdist.lattice, knotdist.engine):
-            monkeypatch.setattr(module, "_axis_extremes", counted)
+        monkeypatch.setattr(knotdist.lattice, "_axis_extremes", counted)
+        assert not hasattr(knotdist.engine, "_axis_extremes")
         text = serialize(trefoil, "vertices")
         runs = {
             "parse_knot": lambda: parse_knot(text),
@@ -648,7 +649,8 @@ class TestSweepLayout:
         for name, run in runs.items():
             calls.clear()
             run()
-            assert calls == [trefoil.n], name
+            scans = [] if name in ("vertex_distortion", "heatmap", "build_report") else [trefoil.n]
+            assert calls == scans, name
 
     def test_int32_bound(self, monkeypatch):
         # 3n < 2^31 keeps the int32 taxicab sums exact
@@ -734,8 +736,18 @@ class TestSweepLayout:
             assert buffers[0][:2] == ((5 * n,), (n,)), run
 
     def test_rows_are_contiguous(self, small_corpus, trefoil):
-        # the band kernel slices each coordinate row, so rows must not be strided
-        for knot in small_corpus + [trefoil]:
+        # the band kernel slices each coordinate row, so rows must not be
+        # strided; the rows are narrowed to the kernel's dtype before they
+        # are shifted, so knots far out, up to the coordinate limit, across
+        # the int16 wrap (doubled 2^15) and on both sides of the int16 bound
+        # check that the shift is exact
+        knots = small_corpus + [trefoil]
+        knots += [transform(k, translate=(t, -t, t)) for k in knots
+                  for t in (2**61, -(2**61), 2**14 - 4)]
+        knots += [transform(k, translate=(2**62 - 8,) * 3) for k in small_corpus
+                  if k.coords.max() <= 14]
+        knots += [rectangle(2730, 2731), rectangle(2731, 2731)]
+        for knot in knots:
             coords = knotdist.engine._Sweep(knot).coords
             assert coords.flags.c_contiguous
             shifted = (knot.coords - knot.coords.min(axis=0)).T
