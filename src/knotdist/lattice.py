@@ -167,6 +167,7 @@ def validate(vertices: TrueVertices) -> ValidationResult:
     # int64 key lies in [0, 2^63)
     for row, least in zip(rows, lo):
         row -= least
+    # Python-int coordinates whose box fits take the int64 key
     key, y, z = rows.astype(key_type, copy=False)
     key *= ry
     key += y
