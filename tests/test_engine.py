@@ -739,14 +739,16 @@ class TestSweepLayout:
         # the band kernel slices each coordinate row, so rows must not be
         # strided; the rows are narrowed to the kernel's dtype before they
         # are shifted, so knots far out, up to the coordinate limit, across
-        # the int16 wrap (doubled 2^15) and on both sides of the int16 bound
-        # check that the shift is exact
+        # the int16 and int32 wraps (doubled 2^15 and 2^31) and on both
+        # sides of the int16 bound check that the shift is exact
         knots = small_corpus + [trefoil]
         knots += [transform(k, translate=(t, -t, t)) for k in knots
                   for t in (2**61, -(2**61), 2**14 - 4)]
         knots += [transform(k, translate=(2**62 - 8,) * 3) for k in small_corpus
                   if k.coords.max() <= 14]
-        knots += [rectangle(2730, 2731), rectangle(2731, 2731)]
+        wide = rectangle(2731, 2731)
+        knots += [rectangle(2730, 2731), wide]
+        knots += [transform(wide, translate=(t, -t, t)) for t in (2**61, 2**30 - 4)]
         for knot in knots:
             coords = knotdist.engine._Sweep(knot).coords
             assert coords.flags.c_contiguous
