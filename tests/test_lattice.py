@@ -139,6 +139,16 @@ class TestInt64Limits:
         assert not result.ok
         assert result == reference_validate(far)
 
+    def test_input_is_left_unchanged(self):
+        # validate builds its key in its own copy of the rows; the transpose
+        # of an F-ordered or one-row array is contiguous, so only a copy
+        # keeps the caller's array as it was
+        square = np.asfortranarray(np.array(UNIT_SQUARE, dtype=np.int64))
+        for vertices in (square, np.array([(5, -6, 7)]), square[::-1]):
+            before = vertices.copy()
+            assert validate(vertices) == reference_validate(vertices.tolist())
+            assert np.array_equal(vertices, before)
+
     def test_key_radix_keeps_the_axes_apart(self):
         # with a radix of span + 1, the step (0, 0, 1) -> (0, 1, 0) would
         # move the key by 1 and pass as a unit step
