@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -114,11 +114,11 @@ class HeatmapRow(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Heatmap(Sequence):
+class Heatmap:
     """Per-vertex row maxima of a knot: row i is num[i] / den[i], in lowest terms.
 
-    num and den are read-only int64 arrays.  As a sequence it yields one
-    HeatmapRow per vertex, built when read.
+    num and den are read-only int64 arrays, the values to compare; len and
+    iteration give one HeatmapRow per vertex, built when read.
     """
 
     knot: LatticeKnot
@@ -131,24 +131,9 @@ class Heatmap(Sequence):
     def __len__(self) -> int:
         return len(self.num)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self))[i]
-        return HeatmapRow(i, self.knot.vertices[i], Fraction(int(self.num[i]), int(self.den[i])))
-
     def __iter__(self) -> Iterator[HeatmapRow]:
         rows = zip(self.knot.vertices, self.num.tolist(), self.den.tolist())
         return (HeatmapRow(i, v, Fraction(p, q)) for i, (v, p, q) in enumerate(rows))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Heatmap):
-            return NotImplemented
-        return (self.knot == other.knot and np.array_equal(self.num, other.num)
-                and np.array_equal(self.den, other.den))
-
-    def __hash__(self) -> int:
-        return hash((self.knot, self.num.tobytes(), self.den.tobytes()))
 
 
 def _ordered_pair(a: LatticePoint, b: LatticePoint) -> WitnessPair:
@@ -346,6 +331,9 @@ class _Sweep:
         <= 3n is exact in float32 and float64, so this rounds c * fl(1 / 2d)
         once, bit for bit as a mixed int-by-float multiply would.
         """
+        if self.n > MAX_HEATMAP_EDGES:
+            raise ValueError(f"knot has {self.n} edges; the heatmap takes at most "
+                             f"{MAX_HEATMAP_EDGES}")
         n, h, coords = self.n, self.n // 2, self.coords
         dtype = coords.dtype
         width = min(h, max(1, BLOCK_ELEMENTS // n))
@@ -418,24 +406,18 @@ def vertex_distortion(knot: LatticeKnot) -> DistortionReport:
     return sweep.report()
 
 
-def _heatmap_sweep(knot: LatticeKnot) -> _Sweep:
-    """A _Sweep for the row sweep; a knot past MAX_HEATMAP_EDGES is refused
-    before any band is evaluated."""
-    if knot.n > MAX_HEATMAP_EDGES:
-        raise ValueError(f"knot has {knot.n} edges; the heatmap takes at most {MAX_HEATMAP_EDGES}")
-    return _Sweep(knot)
-
-
 def vertex_distortion_with_heatmap(knot: LatticeKnot) -> tuple[DistortionReport, Heatmap]:
-    """vertex_distortion(knot), equal in every field, and heatmap(knot) from one _Sweep."""
-    sweep = _heatmap_sweep(knot)
+    """vertex_distortion(knot), equal in every field, and heatmap(knot) from one _Sweep;
+    the row sweep runs first, so a knot past MAX_HEATMAP_EDGES is refused before any band."""
+    sweep = _Sweep(knot)
+    heat = sweep._sweep_rows()
     sweep._refine()
-    return sweep.report(), sweep._sweep_rows()
+    return sweep.report(), heat
 
 
 def heatmap(knot: LatticeKnot) -> Heatmap:
     """For each vertex, the maximum ratio against every other vertex."""
-    return _heatmap_sweep(knot)._sweep_rows()
+    return _Sweep(knot)._sweep_rows()
 
 
 def gromov1_distortion(knot: LatticeKnot) -> DistortionReport:

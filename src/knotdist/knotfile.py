@@ -89,7 +89,8 @@ def _vertex_body(code: AnyStr) -> Optional[tuple[AnyStr, int]]:
     [+-]?[0-9]+ tokens between gaps, with whitespace-only lines anywhere.
     """
     code = code.lstrip()
-    raw = code.encode() if isinstance(code, str) else code
+    # a lone surrogate encodes to non-ASCII bytes, which leave it to the line reader
+    raw = code.encode(errors="surrogatepass") if isinstance(code, str) else code
     if not raw.startswith(_HEADER_BYTES):
         return None
     # one translate maps the bytes after the header to their classes, which
@@ -189,9 +190,9 @@ def parse_vertices(text: Union[str, bytes]) -> np.ndarray:
 def parse_knot(text: Union[str, bytes]) -> LatticeKnot:
     """Parse either file form, as text or UTF-8 bytes, and return a validated knot.
 
-    Raises KnotFileError on syntax problems or a move string that does
-    not close, InvalidKnotError when the described polygon violates the
-    knot invariants, UnicodeDecodeError on bytes that are not UTF-8.
+    Raises KnotFileError on a syntax problem (in text, a lone surrogate is
+    one) or a move string that does not close, InvalidKnotError when the
+    polygon violates the knot invariants, UnicodeDecodeError on non-UTF-8 bytes.
     """
     return LatticeKnot.from_true(parse_vertices(text))
 

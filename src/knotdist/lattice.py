@@ -307,11 +307,12 @@ def scale(knot: LatticeKnot, m: int) -> LatticeKnot:
     """Multiply all coordinates by m, inserting the intermediate vertices.
 
     The result is again a valid lattice knot with m times as many edges.
-    m = 0 is rejected; coordinates leaving the 64-bit range raise
-    OverflowError rather than wrapping.
+    m must be a positive integer (an operator.index type); coordinates
+    leaving the 64-bit range raise OverflowError rather than wrapping.
     """
-    if m < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {m}")
+    if not hasattr(type(m), "__index__") or operator.index(m) < 1:
+        raise ValueError(f"scale factor must be a positive integer, got {m!r}")
+    m = operator.index(m)
     if m == 1:
         return knot
     c = knot.coords

@@ -74,13 +74,6 @@ def _heatmap_text(heat: Heatmap, row: bytes, sep: bytes) -> str:
     return (sep.join([row] * len(table)) % tuple(table.ravel().tolist())).decode("ascii")
 
 
-def heatmap_docs(heat: Heatmap) -> list:
-    return [
-        {"index": i, "vertex": [x, y, z], "num": p, "den": q, "decimal": f"{w}.{f:06d}"}
-        for i, x, y, z, p, q, w, f in _heatmap_table(heat).tolist()
-    ]
-
-
 def certificate_doc(report: DistortionReport) -> dict:
     cert = certify_unknot(report)
     return {
@@ -139,8 +132,8 @@ def _half_text(value: Fraction) -> str:
 
 
 def render_json(doc: dict, pretty: bool = False) -> str:
-    """The document as JSON; a Heatmap under "heatmap" is written as its
-    heatmap_docs would be, each row from the % template of the spacing."""
+    """The document as JSON; a Heatmap under "heatmap" is written as a list
+    of one object per row, each from the % template of the spacing."""
     heat = doc.get("heatmap")
     if isinstance(heat, Heatmap):
         # the rows go where json.dumps writes "\x01" as "\u0001", which nothing else is

@@ -70,6 +70,22 @@ class TestParse:
             parse_knot("latticeknot v1\n0 0 0\n1 0 zero\n")
         assert err.value.line == 3
 
+    def test_lone_surrogate_in_text_cites_line(self):
+        # str text that UTF-8 cannot encode goes to the line reader, which
+        # names the line as it does for any other bad character
+        body = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+        cases = [("latticeknot v1\n0 0 0\n1 \ud800 0\n1 1 0\n0 1 0\n", 3),
+                 ("\ud800latticeknot v1\n" + body, 1),
+                 ("latticeknot v1 \udfff\n" + body, 1),
+                 ("latticeknot v1\nmoves: X\ud800x\n", 2)]
+        for text, line in cases:
+            for parse in (parse_vertices, parse_knot):
+                with pytest.raises(KnotFileError) as err:
+                    parse(text)
+                assert err.value.line == line, (parse, text)
+        # in a comment it goes with the comment
+        assert parse_knot("latticeknot v1 # \ud800\n" + body) == rectangle(1, 1)
+
     def test_open_moves_rejected(self):
         with pytest.raises(KnotFileError) as err:
             parse_knot("latticeknot v1\nmoves: XYX\n")

@@ -541,6 +541,16 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(unit_square, 0)
 
+    def test_non_integral_factor_rejected(self, unit_square):
+        # a float factor gave float coordinates, which are no lattice knot
+        for m in (2.5, 2.0, np.float64(3), Fraction(2), "2"):
+            with pytest.raises(ValueError, match="positive integer"):
+                scale(unit_square, m)
+        # any operator.index type is an integer factor
+        for m in (np.int64(3), np.uint8(2), True):
+            scaled = scale(unit_square, m)
+            assert scaled == scale(unit_square, int(m)) and scaled.coords.dtype == np.int64
+
     def test_overflow_reported(self):
         big = 2**61
         knot = transform(rectangle(1, 1), translate=(big, 0, 0))
